@@ -96,40 +96,13 @@ func main() {
 	fmt.Printf("%s: joined %s (%d clients, %d rounds, dim %d, local data %d samples)\n",
 		display, *addr, ack.NumClients, ack.Rounds, ack.ModelSize, fed.Clients[*id].Len())
 
-	for {
-		gm, err := conn.RecvGlobal()
-		if err != nil {
-			fatal(err)
-		}
-		if gm.Final {
-			fmt.Printf("%s: training complete\n", display)
-			return
-		}
-		if err := core.DecodeGlobal(gm); err != nil {
-			fatal(err)
-		}
-		up, err := algo.LocalUpdate(int(gm.Round), gm.Weights)
-		if err != nil {
-			fatal(err)
-		}
-		if cfg.SubsetFrac > 0 && len(up.Primal) > 0 {
-			up.PrimalP = core.BuildSubsetPayload(up.Primal, cfg.SubsetFrac)
-			up.Primal = nil
-		}
-		if cfg.StreamChunk > 0 {
-			// Stream the vector chunk-by-chunk, then settle the round with
-			// a slim payload-less update (the runner's exact flow).
-			if err := comm.StreamUpload(conn, up, cfg.StreamChunk,
-				comm.UploadOptions{AckTimeout: 30 * time.Second, MaxRetries: 3}); err != nil {
-				fatal(err)
-			}
-			up.Primal, up.PrimalP = nil, nil
-		}
-		if err := conn.SendUpdate(up); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: round %d uploaded (%.2fs local compute)\n", display, gm.Round, up.ComputeSec)
+	// The engine's client loop: one update per model received, stamped
+	// with the model's version, until the server's final broadcast.
+	if err := core.Participate(cfg, algo, conn,
+		comm.UploadOptions{AckTimeout: 30 * time.Second, MaxRetries: 3}); err != nil {
+		fatal(err)
 	}
+	fmt.Printf("%s: training complete\n", display)
 }
 
 func fatal(err error) {

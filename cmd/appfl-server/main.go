@@ -20,12 +20,10 @@ import (
 	"time"
 
 	appfl "repro"
-	"repro/internal/comm"
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/nn"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -65,84 +63,35 @@ func main() {
 		return
 	}
 
-	cfg := appfl.Config{Algorithm: *algorithm, Rounds: *rounds, Rho: *rho, Zeta: *zeta, Seed: *seed, Pipeline: *pipe, AggWorkers: *aggWorkers, AggPrecision: *aggPrecision, AggShards: *aggShards, StreamChunk: *chunk, SubsetFrac: *subset}.WithDefaults()
+	cfg := appfl.Config{Algorithm: *algorithm, Rounds: *rounds, Rho: *rho, Zeta: *zeta, Seed: *seed, Pipeline: *pipe, DownlinkF16: *downF16, AggWorkers: *aggWorkers, AggPrecision: *aggPrecision, AggShards: *aggShards, StreamChunk: *chunk, SubsetFrac: *subset}.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	if *journalDir != "" && (cfg.Algorithm != appfl.AlgoFedAvg || cfg.StreamChunk > 0 || cfg.SubsetFrac > 0 || cfg.AggShards > 1) {
-		fatal(fmt.Errorf("-journal requires -algorithm fedavg without -chunk, -subset, or -shards (recovery refolds journaled dense admits)"))
-	}
-	serverPipe, err := core.NewServerPipeline(cfg)
-	if err != nil {
-		fatal(err)
+	if *journalDir != "" {
+		if err := core.ValidateJournalConfig(cfg); err != nil {
+			fatal(err)
+		}
 	}
 
 	// The validation set and the initial model derive from the shared seed.
 	fed := appfl.MNISTFederation(*clients, *train, *test, *seed)
-	factory := appfl.CNNFactory(appfl.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, *seed)
-	model := factory()
-	w0 := nn.FlattenParams(model, nil)
+	model := cnnFactory(*seed)()
 
-	server, err := core.NewServer(cfg, w0, *clients)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Durable state: open (or re-open) the write-ahead journal and replay
-	// it. A non-empty journal means this process is a restart — the model
-	// is restored from the last commit, and an in-flight round is finished
-	// by re-dispatching it with dedup against the journaled admits.
-	var rj *roundJournal
-	var pending *core.PendingRound
-	startRound := 1
+	// Durable state: a non-empty journal means this process is a restart,
+	// and the engine resumes the run where the journal left it.
+	opts := core.RunOptions{Progress: os.Stdout, CheckpointEvery: *checkpointEvery}
 	if *journalDir != "" {
 		jnl, err := journal.Open(*journalDir)
 		if err != nil {
 			fatal(err)
 		}
 		defer jnl.Close()
-		rj = &roundJournal{j: jnl, every: *checkpointEvery}
-		recovered, err := core.RecoverServer(jnl.Recovered(), *clients, true)
-		if err != nil {
-			fatal(err)
-		}
-		if !recovered.Fresh {
-			agg, ok := server.(core.Aggregator)
-			if !ok {
-				fatal(fmt.Errorf("algorithm %s is not journal-recoverable", cfg.Algorithm))
-			}
-			if err := recovered.Apply(agg); err != nil {
-				fatal(err)
-			}
-			startRound = recovered.NextRound
-			pending = recovered.Pending
-			if pending != nil {
-				// The crashed process left this round in flight: redo it
-				// first, deduplicating against its journaled admits.
-				startRound = pending.Round
-			}
-			fmt.Printf("appfl-server: journal replayed %d records; resuming at round %d\n",
-				recovered.Replayed, startRound)
-		}
-	}
-	// Streamed gathers fold chunk-by-chunk through a StreamSession; the
-	// slim settling updates still flow through the ordinary Gather so the
-	// obligation ledger is untouched (the runner's exact flow).
-	var stream *core.StreamSession
-	if cfg.StreamChunk > 0 {
-		agg, ok := server.(core.Aggregator)
-		if !ok {
-			fatal(fmt.Errorf("algorithm %s cannot stream chunked uploads", cfg.Algorithm))
-		}
-		stream, err = core.NewStreamSession(agg)
-		if err != nil {
-			fatal(err)
-		}
+		opts.Journal = jnl
 	}
 	srv, err := rpc.Listen(*addr, rpc.ServerConfig{
 		NumClients:    *clients,
 		Rounds:        cfg.Rounds,
-		ModelSize:     len(w0),
+		ModelSize:     nn.NumParams(model),
 		AcceptTimeout: *timeout,
 	})
 	if err != nil {
@@ -150,94 +99,21 @@ func main() {
 	}
 	defer srv.Close()
 	fmt.Printf("appfl-server: listening on %s for %d clients (%s, T=%d, dim=%d)\n",
-		srv.Addr(), *clients, cfg.Algorithm, cfg.Rounds, len(w0))
+		srv.Addr(), *clients, cfg.Algorithm, cfg.Rounds, nn.NumParams(model))
 	if err := srv.Accept(); err != nil {
 		fatal(err)
 	}
 	fmt.Println("appfl-server: all clients joined")
 
-	versioner, _ := server.(interface{ Version() int })
-	version := func() uint64 {
-		if versioner == nil {
-			return 0
-		}
-		return uint64(versioner.Version())
-	}
-	for t := startRound; t <= cfg.Rounds; t++ {
-		// A redone round (crash recovery) keeps its original journal
-		// entries: its RoundStart is already on disk and the admits
-		// journaled before the crash win over their recomputations.
-		var skip map[int]bool
-		var journaled []*wire.LocalUpdate
-		if pending != nil && t == pending.Round {
-			skip = pending.AdmittedSet()
-			journaled = pending.Admitted
-			pending = nil
-		} else if err := rj.roundStart(t, *clients, version()); err != nil {
-			fatal(err)
-		}
-		gm := &wire.GlobalModel{Round: uint32(t), Weights: server.GlobalWeights()}
-		if *downF16 {
-			if err := core.EncodeDownlinkF16(gm); err != nil {
-				fatal(err)
-			}
-		}
-		if err := srv.Broadcast(gm); err != nil {
-			fatal(err)
-		}
-		if stream != nil {
-			cohort := make([]int, *clients)
-			for i := range cohort {
-				cohort[i] = i
-			}
-			if _, err := comm.StreamGather(srv, cohort, uint32(t), len(w0), cfg.StreamChunk,
-				stream.Begin, stream.FoldPayloads); err != nil {
-				fatal(err)
-			}
-			if _, err := srv.Gather(); err != nil { // slim updates settle the round
-				fatal(err)
-			}
-			if err := stream.Finish(); err != nil {
-				fatal(err)
-			}
-		} else {
-			updates, err := srv.Gather()
-			if err != nil {
-				fatal(err)
-			}
-			if err := core.DecodeUpdates(updates, serverPipe, len(w0), cfg.AggWorkers); err != nil {
-				fatal(err)
-			}
-			// Journal-before-effect: every update folds only after its dense
-			// primal is durable. On a redone round the journaled admits win
-			// over their recomputations (dedup by client x round).
-			if err := rj.admits(t, updates, skip); err != nil {
-				fatal(err)
-			}
-			if len(skip) > 0 {
-				merged := journaled
-				for _, u := range updates {
-					if !skip[int(u.ClientID)] {
-						merged = append(merged, u)
-					}
-				}
-				updates = merged
-			}
-			if err := server.Update(updates); err != nil {
-				fatal(err)
-			}
-			if err := rj.commit(t, server.GlobalWeights(), version()); err != nil {
-				fatal(err)
-			}
-		}
-		loss, acc := core.EvaluateWeights(model, server.GlobalWeights(), fed.Test, 128)
-		fmt.Printf("round %3d  acc %.4f  loss %.4f\n", t, acc, loss)
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
+	res, err := core.Serve(cfg, model, fed.Test, *clients, opts, srv)
+	if err != nil {
 		fatal(err)
 	}
+	if s := res.Soak; s != nil && s.Recoveries > 0 {
+		fmt.Printf("appfl-server: resumed from the journal (%d records replayed)\n", s.ReplayedRecords)
+	}
 	if *savePath != "" {
-		nn.SetParams(model, server.GlobalWeights())
+		// Serve leaves the committed model in its evaluation replica.
 		var buf bytes.Buffer
 		if err := nn.SaveParams(&buf, model); err != nil {
 			fatal(err)
@@ -247,8 +123,13 @@ func main() {
 		}
 		fmt.Printf("appfl-server: model checkpoint saved to %s\n", *savePath)
 	}
-	snap := srv.Stats()
-	fmt.Printf("appfl-server: done; sent %d B, received %d B\n", snap.BytesSent, snap.BytesRecv)
+	fmt.Printf("appfl-server: done; sent %d B, received %d B\n", res.Server.BytesSent, res.Server.BytesRecv)
+}
+
+// cnnFactory is the federation's model: the paper's MNIST CNN, whose
+// initial weights every party derives from the shared seed.
+func cnnFactory(seed uint64) appfl.Factory {
+	return appfl.CNNFactory(appfl.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, seed)
 }
 
 func fatal(err error) {

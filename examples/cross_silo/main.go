@@ -1,8 +1,9 @@
 // Cross-silo federated learning over real TCP: a server and three clients
 // exchange models through the gRPC-substitute RPC transport (length-
 // prefixed frames, protobuf-style codec), all within this process so the
-// example is self-contained. The same code paths power cmd/appfl-server
-// and cmd/appfl-client across machines.
+// example is self-contained. The server half is core.Serve and each silo
+// is core.Participate — the two halves of the round engine, exactly what
+// cmd/appfl-server and cmd/appfl-client run across machines.
 //
 //	go run ./examples/cross_silo
 package main
@@ -10,15 +11,16 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"time"
 
 	appfl "repro"
+	"repro/internal/comm"
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/wire"
 )
 
 const (
@@ -48,8 +50,8 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("server listening on %s\n", srv.Addr())
 
-	// Silo processes: dial in, then answer every broadcast with a local
-	// update until the final frame arrives.
+	// Silo processes: dial in, then answer every model with a local update
+	// until the final frame arrives.
 	var wg sync.WaitGroup
 	master := rng.New(cfg.Seed)
 	for i := 0; i < numClients; i++ {
@@ -57,13 +59,11 @@ func main() {
 		wg.Add(1)
 		go func(i int, cr *rng.RNG) {
 			defer wg.Done()
-			model := factory()
-			nn.SetParams(model, w0)
 			pipe, err := core.NewClientPipeline(cfg, cr)
 			if err != nil {
 				log.Fatal(err)
 			}
-			algo, err := core.NewClient(cfg, i, model, fed.Clients[i], w0, pipe, cr)
+			algo, err := core.NewClient(cfg, i, factory(), fed.Clients[i], w0, pipe, cr)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -72,21 +72,8 @@ func main() {
 				log.Fatal(err)
 			}
 			defer conn.Close()
-			for {
-				gm, err := conn.RecvGlobal()
-				if err != nil {
-					log.Fatal(err)
-				}
-				if gm.Final {
-					return
-				}
-				up, err := algo.LocalUpdate(int(gm.Round), gm.Weights)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := conn.SendUpdate(up); err != nil {
-					log.Fatal(err)
-				}
+			if err := core.Participate(cfg, algo, conn, comm.UploadOptions{}); err != nil {
+				log.Fatal(err)
 			}
 		}(i, cr)
 	}
@@ -94,29 +81,12 @@ func main() {
 	if err := srv.Accept(); err != nil {
 		log.Fatal(err)
 	}
-	server, err := core.NewServer(cfg, w0, numClients)
+	res, err := core.Serve(cfg, evalModel, fed.Test, numClients, core.RunOptions{Progress: os.Stdout}, srv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for t := 1; t <= rounds; t++ {
-		if err := srv.Broadcast(&wire.GlobalModel{Round: uint32(t), Weights: server.GlobalWeights()}); err != nil {
-			log.Fatal(err)
-		}
-		updates, err := srv.Gather()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := server.Update(updates); err != nil {
-			log.Fatal(err)
-		}
-		loss, acc := core.EvaluateWeights(evalModel, server.GlobalWeights(), fed.Test, 128)
-		fmt.Printf("round %d  acc %.4f  loss %.4f\n", t, acc, loss)
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		log.Fatal(err)
-	}
 	wg.Wait()
-	snap := srv.Stats()
+	snap := res.Server
 	fmt.Printf("TCP traffic at server: sent %d B, received %d B over %d messages\n",
 		snap.BytesSent, snap.BytesRecv, snap.MsgsSent+snap.MsgsRecv)
 }

@@ -87,13 +87,14 @@ type RunOptions struct {
 	// barrier round exactly as an unprotected deployment would.
 	Faults *faults.Injector
 
-	// Journal, when non-nil, makes the run durable: every recovery-relevant
-	// transition (round start, admitted update, roster mutation, commit) is
-	// journaled before it takes effect, and a run started over a non-empty
+	// Journal, when non-nil, makes the run durable: every admitted update,
+	// roster mutation and commit is journaled before it takes effect, and a
+	// round start right after its dispatch (a dispatch the journal never
+	// saw is redone from the last commit). A run started over a non-empty
 	// journal resumes exactly where the crashed one died — completing its
 	// in-flight round from the journaled admits — instead of starting over.
 	// FedAvg-family flat-accumulator configurations only; see
-	// validateJournalConfig.
+	// ValidateJournalConfig.
 	Journal *journal.Journal
 	// CheckpointEvery compacts the journal into a checkpoint every k
 	// commits (0 = never; the WAL then grows for the whole run).
@@ -201,10 +202,12 @@ func Run(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions
 }
 
 // RunWithTransport is Run over caller-supplied transports: st serves the
-// run's server side and cts[i] client i. The caller keeps ownership of st
-// (it is NOT closed here — a multi-tenant host passes per-tenant views of
-// one shared server and closes that server itself); client transports are
-// closed as their goroutines exit, as in Run. opts.Transport is ignored.
+// run's server side and cts[i] client i. It is the two halves of the
+// round engine in one process: StartClients runs every client as a
+// Participate goroutine, Serve runs the server, and the call returns once
+// the clients have seen the final broadcast. The caller keeps ownership
+// of st (it is NOT closed here); client transports are closed as their
+// goroutines exit, as in Run. opts.Transport is ignored.
 func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions,
 	st comm.ServerTransport, cts []comm.ClientTransport) (*Result, error) {
 	cfg = cfg.WithDefaults()
@@ -215,46 +218,43 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	if P == 0 {
 		return nil, fmt.Errorf("core: no clients in federated dataset")
 	}
+	// The server's replica defines the shared initial model w0 and is only
+	// ever evaluated, never trained.
+	evalModel := factory()
+	wait, err := StartClients(cfg, fed, factory, nn.FlattenParams(evalModel, nil), opts, cts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := Serve(cfg, evalModel, fed.Test, P, opts, st)
+	if err != nil {
+		return nil, err
+	}
+	if err := wait(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// StartClients builds the in-process clients of fed and runs client i as
+// a Participate goroutine on cts[i], closing cts[i] when it exits. Each
+// client owns a replica from factory set to w0, an RNG stream split from
+// cfg.Seed in client order, and its own update pipeline. opts.MaxParallel
+// bounds concurrent local training (0 = GOMAXPROCS), opts.ClientDelay
+// delays each upload and opts.Faults wraps each client transport. wait
+// blocks until every client has exited and returns the first client error.
+func StartClients(cfg Config, fed *dataset.Federated, factory nn.Factory, w0 []float64, opts RunOptions,
+	cts []comm.ClientTransport) (wait func() error, err error) {
+	cfg = cfg.WithDefaults()
+	P := fed.NumClients()
 	if len(cts) != P {
 		return nil, fmt.Errorf("core: %d client transports for %d clients", len(cts), P)
 	}
-
-	// Shared initial model: one replica defines w0 for everyone.
-	refModel := factory()
-	w0 := nn.FlattenParams(refModel, nil)
-	dim := len(w0)
-
 	master := rng.New(cfg.Seed)
-	sched, err := NewScheduler(cfg, P)
-	if err != nil {
-		return nil, err
+	maxPar := opts.MaxParallel
+	if maxPar <= 0 {
+		maxPar = runtime.GOMAXPROCS(0)
 	}
-	agg, err := NewAggregator(cfg, w0, P)
-	if err != nil {
-		return nil, err
-	}
-	// The closure closes whatever aggregator is current at exit — recovery
-	// replaces agg, and the discarded one is closed at the kill site.
-	defer func() { closeAggregator(agg) }()
-
-	// The fault layer wraps both ends of every link; the wrappers execute
-	// the injector's deterministic script and the unwrapped path is
-	// untouched when no injector is configured.
-	if opts.Faults != nil {
-		st = opts.Faults.WrapServer(st)
-		for i := range cts {
-			cts[i] = opts.Faults.WrapClient(i, cts[i])
-		}
-	}
-
-	// The server's inverse-only pipeline undoes the compression stages of
-	// every received payload before a batch reaches the Aggregator.
-	serverPipe, err := NewServerPipeline(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Clients: own replica, own RNG stream, own update pipeline.
+	slots := make(chan struct{}, maxPar)
 	clients := make([]ClientAlgorithm, P)
 	for i := 0; i < P; i++ {
 		cr := master.Split()
@@ -268,106 +268,204 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
+		clients[i] = &pacedClient{ClientAlgorithm: c, id: i, slots: slots, delay: opts.ClientDelay}
 	}
-
-	// Client loop goroutines. A semaphore bounds concurrent training to the
-	// machine's parallelism so 203-client runs don't thrash. Each received
-	// non-final model obliges exactly one uploaded update, stamped with the
-	// model version it was trained from.
-	maxPar := opts.MaxParallel
-	if maxPar <= 0 {
-		maxPar = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, maxPar)
 	var wg sync.WaitGroup
-	clientErrs := make([]error, P)
-	for i := 0; i < P; i++ {
+	errs := make([]error, P)
+	for i := range clients {
+		ct := cts[i]
+		if opts.Faults != nil {
+			ct = opts.Faults.WrapClient(i, ct)
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, ct comm.ClientTransport) {
 			defer wg.Done()
-			ct := cts[i]
 			defer ct.Close()
-			// wscratch recycles the downlink densify buffer across rounds
-			// (gm is dropped at the end of each iteration, so the weights
-			// it aliases are dead by the next receive) and across runs via
-			// the shared scratch pool — clients copy w before returning
-			// from LocalUpdate, so nothing aliases it at goroutine exit.
-			wscratch := tensor.GetF64(0)
-			defer func() { tensor.PutF64(wscratch) }()
-			for {
-				gm, err := ct.RecvGlobal()
-				if err != nil {
-					clientErrs[i] = err
-					return
-				}
-				if gm.Final {
-					return
-				}
-				var derr error
-				if wscratch, derr = DecodeGlobalInto(gm, wscratch); derr != nil {
-					clientErrs[i] = derr
-					return
-				}
-				if gm.Rho > 0 {
-					if rs, ok := clients[i].(interface{ SetRho(float64) }); ok {
-						rs.SetRho(gm.Rho)
-					}
-				}
-				sem <- struct{}{}
-				up, err := clients[i].LocalUpdate(int(gm.Round), gm.Weights)
-				<-sem
-				if err != nil {
-					clientErrs[i] = err
-					return
-				}
-				up.BaseVersion = gm.Version
-				if opts.ClientDelay != nil {
-					if d := opts.ClientDelay(i, int(gm.Round)); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				if cfg.SubsetFrac > 0 && len(up.Primal) > 0 {
-					// LoRA-style partial upload: only the leading subset of
-					// the trained vector leaves the client.
-					up.PrimalP = BuildSubsetPayload(up.Primal, cfg.SubsetFrac)
-					up.Primal = nil
-				}
-				if cfg.StreamChunk > 0 {
-					cs, ok := ct.(comm.ChunkSender)
-					if !ok {
-						clientErrs[i] = fmt.Errorf("core: transport %T cannot stream chunked uploads", ct)
-						return
-					}
-					if err := comm.StreamUpload(cs, up, cfg.StreamChunk, comm.UploadOptions{}); err != nil {
-						clientErrs[i] = err
-						return
-					}
-					// The chunks carried the vector; a slim update settles
-					// the round's obligation through the ordinary gather.
-					up.Primal, up.PrimalP = nil, nil
-				}
-				if err := ct.SendUpdate(up); err != nil {
-					clientErrs[i] = err
-					return
-				}
+			errs[i] = Participate(cfg, clients[i], ct, comm.UploadOptions{})
+		}(i, ct)
+	}
+	return func() error {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("core: client %d: %w", i, err)
 			}
-		}(i)
-	}
+		}
+		return nil
+	}, nil
+}
 
-	res := &Result{Config: cfg, ModelDim: dim}
-	validateEvery := opts.ValidateEvery
-	if validateEvery <= 0 {
-		validateEvery = 1
-	}
+// pacedClient is an in-process client under the simulation's pacing:
+// local training holds one of the run's shared slots, so 203-client runs
+// don't thrash the machine, and the ClientDelay straggler sleep follows
+// it without holding a slot.
+type pacedClient struct {
+	ClientAlgorithm
+	id    int
+	slots chan struct{}
+	delay func(client, round int) time.Duration
+}
 
-	mem := newMembership(P)
-	var jw *journalWriter
-	var resume *RecoveredServer
+func (p *pacedClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error) {
+	p.slots <- struct{}{}
+	up, err := p.ClientAlgorithm.LocalUpdate(round, w)
+	<-p.slots
+	if err == nil && p.delay != nil {
+		if d := p.delay(p.id, round); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	return up, err
+}
+
+// SetRho forwards the server's adaptive penalty to an ADMM client.
+func (p *pacedClient) SetRho(rho float64) {
+	if rs, ok := p.ClientAlgorithm.(interface{ SetRho(float64) }); ok {
+		rs.SetRho(rho)
+	}
+}
+
+// Participate is one client's side of a federation, in a simulation or in
+// a deployed process alike: it answers every non-final global model
+// received on ct with exactly one update from client, stamped with the
+// model version it was trained from, until the server's final broadcast.
+// A model carrying a positive Rho first resets an ADMM client's penalty.
+// Under cfg.SubsetFrac the update carries only the leading coordinate
+// fraction; under cfg.StreamChunk its vector is streamed in chunks, paced
+// by upload, and a slim update settles the round. ct is not closed.
+func Participate(cfg Config, client ClientAlgorithm, ct comm.ClientTransport, upload comm.UploadOptions) error {
+	// wscratch recycles the downlink densify buffer across rounds (gm is
+	// dropped at the end of each iteration, so the weights it aliases are
+	// dead by the next receive) and across runs via the shared scratch
+	// pool — clients copy w before returning from LocalUpdate, so nothing
+	// aliases it at exit.
+	wscratch := tensor.GetF64(0)
+	defer func() { tensor.PutF64(wscratch) }()
+	for {
+		gm, err := ct.RecvGlobal()
+		if err != nil {
+			return err
+		}
+		if gm.Final {
+			return nil
+		}
+		if wscratch, err = DecodeGlobalInto(gm, wscratch); err != nil {
+			return err
+		}
+		if gm.Rho > 0 {
+			if rs, ok := client.(interface{ SetRho(float64) }); ok {
+				rs.SetRho(gm.Rho)
+			}
+		}
+		up, err := client.LocalUpdate(int(gm.Round), gm.Weights)
+		if err != nil {
+			return err
+		}
+		up.BaseVersion = gm.Version
+		if cfg.SubsetFrac > 0 && len(up.Primal) > 0 {
+			// LoRA-style partial upload: only the leading subset of the
+			// trained vector leaves the client.
+			up.PrimalP = BuildSubsetPayload(up.Primal, cfg.SubsetFrac)
+			up.Primal = nil
+		}
+		if cfg.StreamChunk > 0 {
+			cs, ok := ct.(comm.ChunkSender)
+			if !ok {
+				return fmt.Errorf("core: transport %T cannot stream chunked uploads", ct)
+			}
+			if err := comm.StreamUpload(cs, up, cfg.StreamChunk, upload); err != nil {
+				return err
+			}
+			// The chunks carried the vector; a slim update settles the
+			// round's obligation through the ordinary gather.
+			up.Primal, up.PrimalP = nil, nil
+		}
+		if err := ct.SendUpdate(up); err != nil {
+			return err
+		}
+	}
+}
+
+// serving is the part of one Serve call that outlives a scripted server
+// kill: the transport, the evaluation replica, the accumulating Result and
+// the journal. The scheduler's aggregator and membership are rebuilt from
+// the journal on every kill and passed to the loops separately.
+type serving struct {
+	cfg           Config
+	st            comm.ServerTransport
+	serverPipe    *pipeline.Pipeline
+	evalModel     nn.Module
+	test          dataset.Dataset
+	res           *Result
+	validateEvery int
+	progress      io.Writer
+	jw            *journalWriter
+	gate          AdmissionGate
+}
+
+// Serve is the server side of a federation of numClients clients, which it
+// reaches only through st; it owns no clients. It runs the scheduler,
+// aggregator, membership, journal and recovery, admission gate and
+// evaluation until cfg.Rounds rounds (buffered: releases) have committed,
+// then broadcasts the final model. Its initial model w0 is evalModel's
+// parameters; evalModel is used only for evaluation on test (nil skips
+// evaluation) and holds the committed model when Serve returns. Over a
+// non-empty opts.Journal the run resumes where the journaled one stopped.
+// The caller keeps ownership of st. opts.Transport, MaxParallel and
+// ClientDelay are client-side and ignored.
+func Serve(cfg Config, evalModel nn.Module, test dataset.Dataset, numClients int, opts RunOptions,
+	st comm.ServerTransport) (*Result, error) {
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if numClients <= 0 {
+		return nil, fmt.Errorf("core: no clients to serve")
+	}
 	if opts.Journal != nil {
-		if err := validateJournalConfig(cfg); err != nil {
+		if err := ValidateJournalConfig(cfg); err != nil {
 			return nil, err
 		}
+	} else if len(opts.Kills) > 0 {
+		return nil, fmt.Errorf("core: RunOptions.Kills requires a Journal (an unjournaled kill is just a lost run)")
+	}
+	w0 := nn.FlattenParams(evalModel, nil)
+	sched, err := NewScheduler(cfg, numClients)
+	if err != nil {
+		return nil, err
+	}
+	agg, err := NewAggregator(cfg, w0, numClients)
+	if err != nil {
+		return nil, err
+	}
+	// The closure closes whatever aggregator is current at exit — recovery
+	// replaces agg, and the discarded one is closed at the kill site.
+	defer func() { closeAggregator(agg) }()
+
+	// The fault layer wraps the server end of every link; the wrapper
+	// executes the injector's deterministic script and the unwrapped path
+	// is untouched when no injector is configured.
+	if opts.Faults != nil {
+		st = opts.Faults.WrapServer(st)
+	}
+	// The server's inverse-only pipeline undoes the compression stages of
+	// every received payload before a batch reaches the Aggregator.
+	serverPipe, err := NewServerPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Config: cfg, ModelDim: len(w0)}
+	s := &serving{
+		cfg: cfg, st: st, serverPipe: serverPipe, evalModel: evalModel, test: test,
+		res: res, validateEvery: opts.ValidateEvery, progress: opts.Progress, gate: opts.Gate,
+	}
+	if s.validateEvery <= 0 {
+		s.validateEvery = 1
+	}
+
+	mem := newMembership(numClients)
+	var resume *RecoveredServer
+	if opts.Journal != nil {
 		kills := append([]ServerKill(nil), opts.Kills...)
 		if opts.Faults != nil {
 			// Scripted killserver events cycle through the kill windows so a
@@ -376,9 +474,9 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 				kills = append(kills, ServerKill{Round: k.Round, Window: KillWindow(i % int(numKillWindows)), Gap: k.Gap})
 			}
 		}
-		jw = newJournalWriter(opts.Journal, opts.CheckpointEvery, kills)
+		s.jw = newJournalWriter(opts.Journal, opts.CheckpointEvery, kills)
 		res.Soak = &SoakStats{}
-		resume, err = RecoverServer(opts.Journal.Recovered(), P, sched.Barrier())
+		resume, err = RecoverServer(opts.Journal.Recovered(), numClients, sched.Barrier())
 		if err != nil {
 			return nil, err
 		}
@@ -386,22 +484,20 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 			return nil, err
 		}
 		if !resume.Fresh {
-			// Cold-start resume: the journal Run opened already held state.
+			// Cold-start resume: the journal Serve opened already held state.
 			res.Soak.Recoveries++
 			res.Soak.ReplayedRecords += resume.Replayed
 		}
 		mem = resume.mem
-		mem.onLedger = jw.ledger
-	} else if len(opts.Kills) > 0 {
-		return nil, fmt.Errorf("core: RunOptions.Kills requires a Journal (an unjournaled kill is just a lost run)")
+		mem.onLedger = s.jw.ledger
 	}
-	loop := runBarrierRounds
+	loop := s.barrierRounds
 	if !sched.Barrier() {
-		loop = runBufferedReleases
+		loop = s.bufferedReleases
 	}
 	var runErr error
 	for {
-		runErr = loop(cfg, sched, agg, serverPipe, st, refModel, fed, res, mem, validateEvery, opts.Progress, jw, resume, opts.Gate)
+		runErr = loop(sched, agg, mem, resume)
 		if !errors.Is(runErr, errServerKilled) {
 			break
 		}
@@ -409,8 +505,8 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		// no flush or goodbye, the scheduler/aggregator/membership are
 		// rebuilt from scratch, and the journal decides where to resume.
 		res.Soak.Kills++
-		if jw.gap > 0 {
-			time.Sleep(time.Duration(jw.gap) * 5 * time.Millisecond)
+		if s.jw.gap > 0 {
+			time.Sleep(time.Duration(s.jw.gap) * 5 * time.Millisecond)
 		}
 		t0 := time.Now()
 		closeAggregator(agg)
@@ -418,17 +514,17 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		if rerr != nil {
 			return nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, rerr)
 		}
-		if agg, err = NewAggregator(cfg, w0, P); err != nil {
+		if agg, err = NewAggregator(cfg, w0, numClients); err != nil {
 			return nil, err
 		}
-		if resume, err = RecoverServer(recd, P, sched.Barrier()); err != nil {
+		if resume, err = RecoverServer(recd, numClients, sched.Barrier()); err != nil {
 			return nil, err
 		}
 		if err := resume.Apply(agg); err != nil {
 			return nil, err
 		}
 		mem = resume.mem
-		mem.onLedger = jw.ledger
+		mem.onLedger = s.jw.ledger
 		res.Soak.Recoveries++
 		res.Soak.ReplayedRecords += resume.Replayed
 		res.Soak.RecoverySec = append(res.Soak.RecoverySec, time.Since(t0).Seconds())
@@ -440,17 +536,10 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		return nil, runErr
 	}
 
-	// Shut clients down and surface any client error.
+	// Shut the clients down.
 	if err := st.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
 		return nil, fmt.Errorf("core: final broadcast: %w", err)
 	}
-	wg.Wait()
-	for i, err := range clientErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: client %d: %w", i, err)
-		}
-	}
-
 	snap := st.Stats()
 	res.Server = snap
 	res.UploadsB = snap.BytesRecv
@@ -459,25 +548,92 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		res.FinalAcc = res.Rounds[n-1].TestAcc
 		res.FinalLoss = res.Rounds[n-1].TestLoss
 	}
+	if test == nil || len(res.Rounds) == 0 {
+		// No final evaluation loaded the committed model into the replica.
+		nn.SetParams(evalModel, agg.Weights())
+	}
 	return res, nil
 }
 
-// recordRound finalizes one round's statistics, validating on cadence.
-func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module, fed *dataset.Federated,
-	rounds, validateEvery int, start time.Time, wbuf []float64, progress io.Writer) {
-	if fed.Test != nil && (rs.Round%validateEvery == 0 || rs.Round == rounds) {
-		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, agg.WeightsInto(wbuf), fed.Test, 256)
+// record finalizes one round's statistics, validating on cadence.
+func (s *serving) record(rs RoundStats, agg Aggregator, start time.Time, wbuf []float64) {
+	if s.test != nil && (rs.Round%s.validateEvery == 0 || rs.Round == s.cfg.Rounds) {
+		rs.TestLoss, rs.TestAcc = EvaluateWeights(s.evalModel, agg.WeightsInto(wbuf), s.test, 256)
 	}
 	rs.WallSec = time.Since(start).Seconds()
-	res.Rounds = append(res.Rounds, rs)
-	if progress != nil {
-		fmt.Fprintf(progress, "round %3d  cohort %3d  acc %.4f  loss %.4f  compute %.3fs  wall %.3fs\n",
+	s.res.Rounds = append(s.res.Rounds, rs)
+	if s.progress != nil {
+		fmt.Fprintf(s.progress, "round %3d  cohort %3d  acc %.4f  loss %.4f  compute %.3fs  wall %.3fs\n",
 			rs.Round, rs.CohortSize, rs.TestAcc, rs.TestLoss, rs.ComputeSec, rs.WallSec)
 	}
 }
 
-// runBarrierRounds drives the classic synchronous structure: each round
-// the scheduler picks a cohort, the server sends the model to exactly that
+// downlink builds and sends the global model of each dispatch, recycling
+// its dense and f16 buffers across the dispatches of one loop. The f16
+// downlink feeds straight from the f32 accumulator when one exists, which
+// is bit-identical to the widening path it replaces.
+type downlink struct {
+	cfg    Config
+	agg    Aggregator
+	w32agg Weights32Provider
+	rho    interface{ CurrentRho() float64 }
+	wbuf   []float64
+	f16buf []byte
+}
+
+func newDownlink(cfg Config, agg Aggregator) *downlink {
+	d := &downlink{cfg: cfg, agg: agg}
+	d.w32agg, _ = agg.(Weights32Provider)
+	d.rho, _ = agg.(interface{ CurrentRho() float64 })
+	if cfg.DownlinkF16 {
+		// Pooled downlink scratch: every transport serializes inside
+		// SendTo, so one code buffer serves all dispatches.
+		d.f16buf = tensor.GetBytes(2 * agg.Dim())
+	}
+	return d
+}
+
+// release returns the pooled f16 buffer.
+func (d *downlink) release() {
+	if d.f16buf != nil {
+		tensor.PutBytes(d.f16buf)
+	}
+}
+
+// send dispatches the current global model, as round, to ids.
+func (d *downlink) send(st comm.ServerTransport, ids []int, round int) (*wire.GlobalModel, error) {
+	var w32 []float32
+	if d.cfg.DownlinkF16 && d.w32agg != nil {
+		w32 = d.w32agg.Weights32()
+	}
+	gm := &wire.GlobalModel{
+		Round:      uint32(round),
+		Version:    uint64(d.agg.Version()),
+		CohortSize: uint32(len(ids)),
+	}
+	if w32 == nil {
+		d.wbuf = d.agg.WeightsInto(d.wbuf)
+		gm.Weights = d.wbuf
+	}
+	if d.cfg.AdaptiveRho && d.rho != nil {
+		gm.Rho = d.rho.CurrentRho()
+	}
+	if d.cfg.DownlinkF16 {
+		var err error
+		if w32 != nil {
+			d.f16buf, err = EncodeDownlinkF16From32(gm, w32, d.f16buf)
+		} else {
+			d.f16buf, err = EncodeDownlinkF16Into(gm, d.f16buf)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: downlink round %d: %w", round, err)
+		}
+	}
+	return gm, st.SendTo(ids, gm)
+}
+
+// barrierRounds drives the classic synchronous structure: each round the
+// scheduler picks a cohort, the server sends the model to exactly that
 // cohort, blocks until the whole cohort reports, and aggregates. With the
 // SyncAll schedule and no RoundTimeout this reproduces the pre-refactor
 // loop bit for bit.
@@ -488,22 +644,18 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 // the silent clients are forgiven and benched with backoff, and goodbye
 // announcements are honored by excluding the client until its rejoin
 // lease expires.
-func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int, progress io.Writer,
-	jw *journalWriter, resume *RecoveredServer, gate AdmissionGate) error {
-	rhoReporter, _ := agg.(interface{ CurrentRho() float64 })
-	// Fast paths of the kernel layer: fold still-encoded payloads when the
-	// stack's inverse fuses, and feed the f16 downlink straight from the
-	// f32 accumulator when one exists. Both are bit-identical to the
-	// two-pass/widening paths they replace. Journaled runs skip the fused
-	// fold: an admit record needs the dense decoded primal in hand before
-	// anything folds, so the inverse must run as its own pass.
+func (s *serving) barrierRounds(sched Scheduler, agg Aggregator, mem *membership, resume *RecoveredServer) error {
+	cfg, st, jw := s.cfg, s.st, s.jw
+	// Fast path of the kernel layer: fold still-encoded payloads when the
+	// stack's inverse fuses, bit-identical to the two-pass path it
+	// replaces. Journaled runs skip the fused fold: an admit record needs
+	// the dense decoded primal in hand before anything folds, so the
+	// inverse must run as its own pass.
 	var fusedStage pipeline.FusedStage
 	fused := false
 	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, serverPipe)
+		fusedStage, fused = EnableFusedFold(agg, s.serverPipe)
 	}
-	w32agg, _ := agg.(Weights32Provider)
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
@@ -525,14 +677,8 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 	if minCohort <= 0 {
 		minCohort = 1
 	}
-	var wbuf []float64
-	var f16buf []byte
-	if cfg.DownlinkF16 {
-		// Pooled downlink scratch: every transport serializes inside
-		// SendTo, so one code buffer serves all rounds.
-		f16buf = tensor.GetBytes(2 * agg.Dim())
-		defer func() { tensor.PutBytes(f16buf) }()
-	}
+	dl := newDownlink(cfg, agg)
+	defer dl.release()
 	start := 1
 	if resume != nil {
 		start = resume.NextRound
@@ -540,7 +686,7 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 			// The crashed process died with this round in flight: finish it
 			// from the journaled admits (plus a re-gather of whatever the
 			// journal missed) before any new round is scheduled.
-			if err := completeBarrierRound(cfg, agg, serverPipe, st, evalModel, fed, res, mem, validateEvery, progress, jw, p); err != nil {
+			if err := s.completeBarrierRound(agg, mem, dl, p); err != nil {
 				return err
 			}
 			start = p.Round + 1
@@ -559,34 +705,8 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 			return fmt.Errorf("core: round %d cohort has %d schedulable clients, quorum is %d: %w",
 				t, len(cohort), minCohort, ErrQuorum)
 		}
-		var w32 []float32
-		if cfg.DownlinkF16 && w32agg != nil {
-			w32 = w32agg.Weights32()
-		}
-		gm := &wire.GlobalModel{
-			Round:      uint32(t),
-			Version:    uint64(agg.Version()),
-			CohortSize: uint32(len(cohort)),
-		}
-		if w32 == nil {
-			wbuf = agg.WeightsInto(wbuf)
-			gm.Weights = wbuf
-		}
-		if cfg.AdaptiveRho && rhoReporter != nil {
-			gm.Rho = rhoReporter.CurrentRho()
-		}
-		if cfg.DownlinkF16 {
-			var err error
-			if w32 != nil {
-				f16buf, err = EncodeDownlinkF16From32(gm, w32, f16buf)
-			} else {
-				f16buf, err = EncodeDownlinkF16Into(gm, f16buf)
-			}
-			if err != nil {
-				return fmt.Errorf("core: downlink round %d: %w", t, err)
-			}
-		}
-		if err := st.SendTo(cohort, gm); err != nil {
+		gm, err := dl.send(st, cohort, t)
+		if err != nil {
 			return fmt.Errorf("core: send round %d: %w", t, err)
 		}
 		jw.roundStart(t, cohort, gm.Version)
@@ -605,26 +725,7 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 				return fmt.Errorf("core: stream round %d: %w", t, err)
 			}
 		}
-		var updates []*wire.LocalUpdate
-		var err error
-		if cfg.RoundTimeout > 0 {
-			got, gerr := st.GatherUntil(len(cohort), cfg.RoundTimeout)
-			if gerr != nil && !errors.Is(gerr, comm.ErrRoundTimeout) {
-				return fmt.Errorf("core: gather round %d: %w", t, gerr)
-			}
-			if gerr != nil {
-				// Deadline cut the gather: forgive and bench the silent
-				// clients; the survivors carry the round.
-				missing := comm.Missing(cohort, got)
-				st.Forgive(missing)
-				for _, c := range missing {
-					mem.strike(c, t)
-				}
-			}
-			updates, err = comm.OrderSubset(cohort, got)
-		} else {
-			updates, err = st.GatherFrom(cohort)
-		}
+		updates, err := gatherCohort(cfg, st, mem, cohort, t)
 		if err != nil {
 			return fmt.Errorf("core: gather round %d: %w", t, err)
 		}
@@ -636,25 +737,21 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 		// The admission gate spans decode through fold: the expensive part
 		// of a round's server-side work, and the part that contends for the
 		// shared aggregation workers on a multi-tenant host.
-		releaseGate := gateAcquire(gate, len(data))
+		releaseGate := gateAcquire(s.gate, len(data))
 		if stream == nil {
 			if fused {
 				err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
 			} else {
-				err = DecodeUpdates(data, serverPipe, agg.Dim(), cfg.AggWorkers)
+				err = DecodeUpdates(data, s.serverPipe, agg.Dim(), cfg.AggWorkers)
 			}
 			if err != nil {
 				releaseGate()
 				return fmt.Errorf("core: decode round %d: %w", t, err)
 			}
 		}
-		maxCompute := 0.0
 		for _, u := range data {
-			if u.ComputeSec > maxCompute {
-				maxCompute = u.ComputeSec
-			}
 			if !u.InCohort {
-				res.Echoes++
+				s.res.Echoes++
 			}
 		}
 		jw.admitBatch(t, data, nil)
@@ -674,21 +771,58 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 		if err := jw.commit(t, agg, mem, 0); err != nil {
 			return err
 		}
-		rs := RoundStats{Round: t, ComputeSec: maxCompute, CohortSize: len(data)}
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, wbuf, progress)
+		rs := RoundStats{Round: t, ComputeSec: maxCompute(data), CohortSize: len(data)}
+		s.record(rs, agg, roundStart, dl.wbuf)
 	}
 	return nil
 }
 
+// gatherCohort collects round t's updates from the dispatched cohort, in
+// cohort order. Under a RoundTimeout the deadline may cut the gather
+// short: the silent clients are forgiven and benched, and the survivors
+// carry the round.
+func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, cohort []int, t int) ([]*wire.LocalUpdate, error) {
+	if cfg.RoundTimeout <= 0 {
+		return st.GatherFrom(cohort)
+	}
+	got, err := st.GatherUntil(len(cohort), cfg.RoundTimeout)
+	if err != nil && !errors.Is(err, comm.ErrRoundTimeout) {
+		return nil, err
+	}
+	if err != nil {
+		missing := comm.Missing(cohort, got)
+		st.Forgive(missing)
+		for _, c := range missing {
+			mem.strike(c, t)
+		}
+	}
+	return comm.OrderSubset(cohort, got)
+}
+
+// maxCompute is the slowest client's local update time in a batch.
+func maxCompute(data []*wire.LocalUpdate) float64 {
+	m := 0.0
+	for _, u := range data {
+		if u.ComputeSec > m {
+			m = u.ComputeSec
+		}
+	}
+	return m
+}
+
 // completeBarrierRound finishes the round a crashed server left in flight:
 // the journaled admits are taken as-is (their primals were written before
-// the crash), the rest of the cohort is re-gathered from the surviving
-// transport, and the merged batch folds in cohort order — the order the
-// uncrashed gather would have produced — so the refold is bit-identical to
-// the fold the crash interrupted.
-func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int,
-	progress io.Writer, jw *journalWriter, p *PendingRound) error {
+// the crash), the rest of the cohort is gathered, and the merged batch
+// folds in cohort order — the order the uncrashed gather would have
+// produced — so the refold is bit-identical to the fold the crash
+// interrupted. Cohort members the transport owes nothing for never got
+// this round's model (a cold restart on fresh transports, or a dispatch
+// the crash cut short) and are sent it again first; the committed model
+// the journal restored is the model the round was opened with. After an
+// in-process kill the surviving transport still holds the original
+// dispatch's obligations, and those clients are only re-gathered.
+func (s *serving) completeBarrierRound(agg Aggregator, mem *membership, dl *downlink, p *PendingRound) error {
+	cfg, st := s.cfg, s.st
 	roundStart := time.Now()
 	minCohort := cfg.MinCohort
 	if minCohort <= 0 {
@@ -706,32 +840,30 @@ func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipel
 	}
 	var fresh []*wire.LocalUpdate
 	if len(remaining) > 0 {
-		var updates []*wire.LocalUpdate
-		var err error
-		if cfg.RoundTimeout > 0 {
-			got, gerr := st.GatherUntil(len(remaining), cfg.RoundTimeout)
-			if gerr != nil && !errors.Is(gerr, comm.ErrRoundTimeout) {
-				return fmt.Errorf("core: re-gather round %d: %w", p.Round, gerr)
-			}
-			if gerr != nil {
-				missing := comm.Missing(remaining, got)
-				st.Forgive(missing)
-				for _, c := range missing {
-					mem.strike(c, p.Round)
-				}
-			}
-			updates, err = comm.OrderSubset(remaining, got)
-		} else {
-			updates, err = st.GatherFrom(remaining)
+		owed := make(map[int]bool)
+		for _, c := range st.Outstanding() {
+			owed[c] = true
 		}
+		var resend []int
+		for _, c := range remaining {
+			if !owed[c] {
+				resend = append(resend, c)
+			}
+		}
+		if len(resend) > 0 {
+			if _, err := dl.send(st, resend, p.Round); err != nil {
+				return fmt.Errorf("core: re-send round %d: %w", p.Round, err)
+			}
+		}
+		updates, err := gatherCohort(cfg, st, mem, remaining, p.Round)
 		if err != nil {
 			return fmt.Errorf("core: re-gather round %d: %w", p.Round, err)
 		}
 		fresh = splitControl(updates, mem)
-		if err := DecodeUpdates(fresh, serverPipe, agg.Dim(), cfg.AggWorkers); err != nil {
+		if err := DecodeUpdates(fresh, s.serverPipe, agg.Dim(), cfg.AggWorkers); err != nil {
 			return fmt.Errorf("core: decode resumed round %d: %w", p.Round, err)
 		}
-		jw.admitBatch(p.Round, fresh, admitted)
+		s.jw.admitBatch(p.Round, fresh, admitted)
 	}
 	byID := make(map[int]*wire.LocalUpdate, len(p.Admitted)+len(fresh))
 	for _, u := range p.Admitted {
@@ -750,23 +882,17 @@ func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipel
 		return fmt.Errorf("core: resumed round %d completed with %d of %d clients, quorum is %d: %w",
 			p.Round, len(data), len(p.Cohort), minCohort, ErrQuorum)
 	}
-	maxCompute := 0.0
-	for _, u := range data {
-		if u.ComputeSec > maxCompute {
-			maxCompute = u.ComputeSec
-		}
-	}
-	if jw.shouldKill(KillBeforeCommit, p.Round) {
+	if s.jw.shouldKill(KillBeforeCommit, p.Round) {
 		return errServerKilled
 	}
 	if err := agg.Aggregate(data); err != nil {
 		return fmt.Errorf("core: aggregate resumed round %d: %w", p.Round, err)
 	}
-	if err := jw.commit(p.Round, agg, mem, 0); err != nil {
+	if err := s.jw.commit(p.Round, agg, mem, 0); err != nil {
 		return err
 	}
-	rs := RoundStats{Round: p.Round, ComputeSec: maxCompute, CohortSize: len(data)}
-	recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, nil, progress)
+	rs := RoundStats{Round: p.Round, ComputeSec: maxCompute(data), CohortSize: len(data)}
+	s.record(rs, agg, roundStart, nil)
 	return nil
 }
 
@@ -817,63 +943,84 @@ func splitControl(updates []*wire.LocalUpdate, mem *membership) []*wire.LocalUpd
 	return data
 }
 
-// runBufferedReleases drives the FedBuff-style semi-asynchronous
-// structure: every client trains continuously against the freshest model
-// it has; the server releases an aggregation as soon as K updates arrive
-// (in arrival order, regardless of origin) and immediately re-dispatches
-// the new model to exactly the clients that contributed. Stragglers never
-// block a release; their updates arrive with positive staleness and are
+// bufferedReleases drives the FedBuff-style semi-asynchronous structure:
+// every client trains continuously against the freshest model it has; the
+// server releases an aggregation as soon as K updates arrive (in arrival
+// order, regardless of origin) and immediately re-dispatches the new model
+// to exactly the clients that contributed. Stragglers never block a
+// release; their updates arrive with positive staleness and are
 // down-weighted or dropped by the BufferedAggregator.
-func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int, progress io.Writer,
-	jw *journalWriter, resume *RecoveredServer, gate AdmissionGate) error {
+func (s *serving) bufferedReleases(sched Scheduler, agg Aggregator, mem *membership, resume *RecoveredServer) error {
+	cfg, st, jw, res := s.cfg, s.st, s.jw, s.res
 	quorum := sched.Quorum()
 	// Journaled runs skip the fused fold: an admit record needs the dense
 	// decoded primal before anything folds.
 	var fusedStage pipeline.FusedStage
 	fused := false
 	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, serverPipe)
+		fusedStage, fused = EnableFusedFold(agg, s.serverPipe)
 	}
-	w32agg, _ := agg.(Weights32Provider)
-	var wbuf []float64
-	var f16buf []byte
-	if cfg.DownlinkF16 {
-		f16buf = tensor.GetBytes(2 * agg.Dim())
-		defer func() { tensor.PutBytes(f16buf) }()
-	}
+	dl := newDownlink(cfg, agg)
+	defer dl.release()
+	// dispatch opens one obligation per id and journals it as a RoundStart.
 	dispatch := func(ids []int, round int) error {
-		var w32 []float32
-		if cfg.DownlinkF16 && w32agg != nil {
-			w32 = w32agg.Weights32()
-		}
-		gm := &wire.GlobalModel{
-			Round:      uint32(round),
-			Version:    uint64(agg.Version()),
-			CohortSize: uint32(len(ids)),
-		}
-		if w32 == nil {
-			wbuf = agg.WeightsInto(wbuf)
-			gm.Weights = wbuf
-		}
-		if cfg.DownlinkF16 {
-			var err error
-			if w32 != nil {
-				f16buf, err = EncodeDownlinkF16From32(gm, w32, f16buf)
-			} else {
-				f16buf, err = EncodeDownlinkF16Into(gm, f16buf)
-			}
-			if err != nil {
-				return fmt.Errorf("core: downlink release %d: %w", round, err)
-			}
-		}
-		if err := st.SendTo(ids, gm); err != nil {
+		gm, err := dl.send(st, ids, round)
+		if err != nil {
 			return err
 		}
 		jw.roundStart(round, ids, gm.Version)
 		return nil
 	}
+	// redispatch hands the contributors of release rel the fresh model so
+	// they keep training — unless the run is over, in which case they wait
+	// for Final. Arrivals drive buffered scheduling, so re-admissions take
+	// an explicit dispatch too: leased-out clients whose rejoin falls due
+	// and benched clients whose backoff lapsed ride along here.
+	redispatch := func(contributors []*wire.LocalUpdate, rel int) (int, error) {
+		if rel >= cfg.Rounds {
+			return 0, nil
+		}
+		ids := make([]int, 0, len(contributors)+1)
+		for _, u := range contributors {
+			ids = append(ids, int(u.ClientID))
+		}
+		ids = append(ids, mem.dueRejoins(rel+1)...)
+		if cfg.RoundTimeout > 0 {
+			inflight := make(map[int]bool)
+			for _, c := range st.Outstanding() {
+				inflight[c] = true
+			}
+			ids = append(ids, mem.dueRetries(rel+1, inflight)...)
+			ids = dropUnreachable(st, mem, ids, rel)
+		}
+		if len(ids) == 0 {
+			return 0, nil
+		}
+		if err := dispatch(ids, rel+1); err != nil {
+			return 0, fmt.Errorf("core: re-dispatch after release %d: %w", rel, err)
+		}
+		return len(ids), nil
+	}
 	buffered, _ := agg.(*BufferedAggregator)
+	// fold aggregates one release batch, crediting the aggregator's own
+	// staleness counters — it is the authority on what was actually folded
+	// vs dropped.
+	fold := func(batch []*wire.LocalUpdate) error {
+		prevStale, prevDropped := 0, 0
+		if buffered != nil {
+			prevStale, prevDropped = buffered.StaleApplied, buffered.Dropped
+		}
+		if len(batch) > 0 {
+			if err := agg.Aggregate(batch); err != nil {
+				return err
+			}
+		}
+		if buffered != nil {
+			res.Stale += buffered.StaleApplied - prevStale
+			res.Dropped += buffered.Dropped - prevDropped
+		}
+		return nil
+	}
 	start := 1
 	outstanding := 0
 	if resume != nil && !resume.Fresh {
@@ -888,47 +1035,20 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 			// fold would have — then close the release and hand the
 			// contributors the fresh model the dead process never sent.
 			relStart := time.Now()
-			prevStale, prevDropped := 0, 0
-			if buffered != nil {
-				prevStale, prevDropped = buffered.StaleApplied, buffered.Dropped
-			}
-			if len(p.Admitted) > 0 {
-				if err := agg.Aggregate(p.Admitted); err != nil {
-					return fmt.Errorf("core: aggregate resumed release %d: %w", p.Round, err)
-				}
-			}
-			if buffered != nil {
-				res.Stale += buffered.StaleApplied - prevStale
-				res.Dropped += buffered.Dropped - prevDropped
+			if err := fold(p.Admitted); err != nil {
+				return fmt.Errorf("core: aggregate resumed release %d: %w", p.Round, err)
 			}
 			if err := jw.commit(p.Round, agg, mem, outstanding); err != nil {
 				return err
 			}
-			if p.Round < cfg.Rounds {
-				ids := make([]int, 0, len(p.Admitted))
-				for _, u := range p.Admitted {
-					ids = append(ids, int(u.ClientID))
-				}
-				ids = append(ids, mem.dueRejoins(p.Round+1)...)
-				if cfg.RoundTimeout > 0 {
-					inflight := make(map[int]bool)
-					for _, c := range st.Outstanding() {
-						inflight[c] = true
-					}
-					ids = append(ids, mem.dueRetries(p.Round+1, inflight)...)
-					ids = dropUnreachable(st, mem, ids, p.Round)
-				}
-				if len(ids) > 0 {
-					if err := dispatch(ids, p.Round+1); err != nil {
-						return fmt.Errorf("core: re-dispatch after resumed release %d: %w", p.Round, err)
-					}
-					outstanding += len(ids)
-				}
+			n, err := redispatch(p.Admitted, p.Round)
+			if err != nil {
+				return err
 			}
+			outstanding += n
 			// ComputeSec is client metadata the admit record does not carry;
 			// a resumed release reports 0 for it.
-			rs := RoundStats{Round: p.Round, CohortSize: len(p.Admitted)}
-			recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, wbuf, progress)
+			s.record(RoundStats{Round: p.Round, CohortSize: len(p.Admitted)}, agg, relStart, dl.wbuf)
 			start = p.Round + 1
 		}
 	} else {
@@ -1006,11 +1126,11 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 		data := splitControl(batch, mem)
 		// The admission gate spans decode through fold, the contended
 		// server-side work on a multi-tenant host.
-		releaseGate := gateAcquire(gate, len(data))
+		releaseGate := gateAcquire(s.gate, len(data))
 		if fused {
 			err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
 		} else {
-			err = DecodeUpdates(data, serverPipe, agg.Dim(), cfg.AggWorkers)
+			err = DecodeUpdates(data, s.serverPipe, agg.Dim(), cfg.AggWorkers)
 		}
 		if err != nil {
 			releaseGate()
@@ -1021,63 +1141,24 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 			releaseGate()
 			return errServerKilled
 		}
-		maxCompute := 0.0
-		for _, u := range data {
-			if u.ComputeSec > maxCompute {
-				maxCompute = u.ComputeSec
-			}
-		}
-		// The aggregator is the authority on what was actually folded vs
-		// dropped; read its counters rather than re-deriving staleness here.
-		prevStale, prevDropped := 0, 0
-		if buffered != nil {
-			prevStale, prevDropped = buffered.StaleApplied, buffered.Dropped
-		}
-		if len(data) > 0 {
-			if err := agg.Aggregate(data); err != nil {
-				releaseGate()
-				return fmt.Errorf("core: aggregate release %d: %w", rel, err)
-			}
-		}
+		err = fold(data)
 		releaseGate()
-		if buffered != nil {
-			res.Stale += buffered.StaleApplied - prevStale
-			res.Dropped += buffered.Dropped - prevDropped
+		if err != nil {
+			return fmt.Errorf("core: aggregate release %d: %w", rel, err)
 		}
-		// Commit before the re-dispatch below: the re-dispatch opens new
-		// obligations, journaled as RoundStart records after this commit, so
-		// replay's outstanding count stays exact.
+		// Commit before the re-dispatch: the re-dispatch opens new
+		// obligations, journaled as RoundStart records after this commit,
+		// so replay's outstanding count stays exact.
 		if err := jw.commit(rel, agg, mem, outstanding); err != nil {
 			return err
 		}
-		// Hand the contributors the fresh model so they keep training —
-		// unless the run is over, in which case they wait for Final.
-		// Arrivals drive buffered scheduling, so re-admissions take an
-		// explicit dispatch too: leased-out clients whose rejoin falls due
-		// and benched clients whose backoff lapsed ride along here.
-		if rel < cfg.Rounds {
-			ids := make([]int, 0, len(data)+1)
-			for _, u := range data {
-				ids = append(ids, int(u.ClientID))
-			}
-			ids = append(ids, mem.dueRejoins(rel+1)...)
-			if cfg.RoundTimeout > 0 {
-				inflight := make(map[int]bool)
-				for _, c := range st.Outstanding() {
-					inflight[c] = true
-				}
-				ids = append(ids, mem.dueRetries(rel+1, inflight)...)
-				ids = dropUnreachable(st, mem, ids, rel)
-			}
-			if len(ids) > 0 {
-				if err := dispatch(ids, rel+1); err != nil {
-					return fmt.Errorf("core: re-dispatch after release %d: %w", rel, err)
-				}
-				outstanding += len(ids)
-			}
+		n, err := redispatch(data, rel)
+		if err != nil {
+			return err
 		}
-		rs := RoundStats{Round: rel, ComputeSec: maxCompute, CohortSize: len(data)}
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, wbuf, progress)
+		outstanding += n
+		rs := RoundStats{Round: rel, ComputeSec: maxCompute(data), CohortSize: len(data)}
+		s.record(rs, agg, relStart, dl.wbuf)
 		// The after-dispatch window sits at the end of the iteration so the
 		// committed release's stats are recorded before the kill lands —
 		// recovery resumes at the next release, not by replaying this one.

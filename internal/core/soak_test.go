@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Soak harness: journaled runs with scripted in-process kill -9s. The
@@ -288,6 +289,114 @@ func TestSoakColdStartResume(t *testing.T) {
 	_ = first
 }
 
+// TestSoakColdStartOpenRound reopens a journal whose last round was
+// dispatched and partly admitted but never committed, on fresh transports
+// whose clients were never sent that round. The resumed Run must
+// re-dispatch the open round to the cohort members it holds no admit for,
+// fold the journaled admit exactly once, and carry on to the new budget.
+func TestSoakColdStartOpenRound(t *testing.T) {
+	for _, tr := range []Transport{TransportMPI, TransportRPC} {
+		t.Run(string(tr), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := scenConfig(SchedSyncAll, "")
+			cfg.Rounds = 2
+			j, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.NoSync = true
+			runSoakScenario(t, cfg, RunOptions{Transport: tr, Journal: j})
+			// A server that died after dispatching round 3 and admitting
+			// client 0 (which echoed the round-2 model back) leaves this.
+			rd, err := j.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := rd.Records[len(rd.Records)-1]
+			if last.Op != wire.JournalCommit || last.Round != 2 {
+				t.Fatalf("first run ended on record %+v, want the round-2 commit", last)
+			}
+			start := &wire.JournalRecord{Op: wire.JournalRoundStart, Round: 3, Version: last.Version}
+			for c := 0; c < scenClients; c++ {
+				start.Cohort = append(start.Cohort, uint32(c))
+			}
+			n0 := uint64(scenFed().Clients[0].Len())
+			admit := &wire.JournalRecord{Op: wire.JournalAdmit, Round: 3, ClientID: 0,
+				NumSamples: n0, BaseVersion: last.Version, Primal: last.Weights}
+			for _, rec := range []*wire.JournalRecord{start, admit} {
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j2.NoSync = true
+			defer j2.Close()
+			cfg.Rounds = 4
+			second := runSoakScenario(t, cfg, RunOptions{Transport: tr, Journal: j2})
+			if len(second.Rounds) != 2 || second.Rounds[0].Round != 3 || second.Rounds[1].Round != 4 {
+				t.Fatalf("cold restart ran rounds %+v, want rounds 3 and 4", second.Rounds)
+			}
+			if second.Rounds[0].CohortSize != scenClients || second.Soak.Recoveries != 1 {
+				t.Fatalf("resumed round 3 folded %d updates (soak %+v), want %d", second.Rounds[0].CohortSize, second.Soak, scenClients)
+			}
+			if math.IsNaN(second.FinalLoss) || math.IsInf(second.FinalLoss, 0) {
+				t.Fatalf("resumed final loss %v", second.FinalLoss)
+			}
+
+			// Round 3 in the journal: one admit per client, the injected
+			// one untouched, and a commit that is their FedAvg fold.
+			rd, err = j2.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			admits := map[uint32]*wire.JournalRecord{}
+			var commit *wire.JournalRecord
+			for _, rec := range rd.Records {
+				if rec.Round != 3 {
+					continue
+				}
+				switch rec.Op {
+				case wire.JournalAdmit:
+					if admits[rec.ClientID] != nil {
+						t.Fatalf("client %d admitted twice in round 3", rec.ClientID)
+					}
+					admits[rec.ClientID] = rec
+				case wire.JournalCommit:
+					commit = rec
+				}
+			}
+			if len(admits) != scenClients || commit == nil {
+				t.Fatalf("round 3 journaled %d admits (commit %v), want %d and a commit", len(admits), commit != nil, scenClients)
+			}
+			for k, v := range admits[0].Primal {
+				if math.Float64bits(v) != math.Float64bits(last.Weights[k]) {
+					t.Fatal("the journaled admit of client 0 was replaced")
+				}
+			}
+			var total float64
+			for _, a := range admits {
+				total += float64(a.NumSamples)
+			}
+			for k, got := range commit.Weights {
+				want := 0.0
+				for _, a := range admits {
+					want += float64(a.NumSamples) / total * a.Primal[k]
+				}
+				if math.Abs(got-want) > 1e-9 {
+					t.Fatalf("round-3 commit[%d] = %v, FedAvg of the journaled admits is %v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestSoakKillsRequireJournal pins the guard: scripted kills without a
 // journal are rejected up front, not discovered as a lost run.
 func TestSoakKillsRequireJournal(t *testing.T) {
@@ -301,7 +410,7 @@ func TestSoakKillsRequireJournal(t *testing.T) {
 	}
 }
 
-// TestSoakRejectsUnjournalableConfigs pins validateJournalConfig at the
+// TestSoakRejectsUnjournalableConfigs pins ValidateJournalConfig at the
 // Run boundary for each excluded feature.
 func TestSoakRejectsUnjournalableConfigs(t *testing.T) {
 	mutate := map[string]func(*Config){

@@ -204,16 +204,52 @@ func (h *Host) transports() (sts []comm.ServerTransport, cts [][]comm.ClientTran
 }
 
 // Run drives every tenant's federation concurrently over the shared
-// backend and returns per-tenant results in spec order. A tenant that
-// fails does not interrupt its neighbors: the survivors run to
-// completion, and the joined error names each failed tenant.
+// backend, with every tenant's clients in process, and returns per-tenant
+// results in spec order. It is Serve plus the clients: each tenant's
+// clients run as core.StartClients goroutines against that tenant's
+// client transports. A tenant that fails does not interrupt its
+// neighbors: the survivors run to completion, and the joined error names
+// each failed tenant.
 func (h *Host) Run() ([]*core.Result, error) {
 	sts, cts, closeFn, err := h.transports()
 	if err != nil {
 		return nil, err
 	}
 	defer closeFn()
+	waits := make([]func() error, len(h.specs))
+	for t, s := range h.specs {
+		w0 := nn.FlattenParams(s.Factory(), nil)
+		waits[t], err = core.StartClients(s.Config, s.Fed, s.Factory, w0,
+			core.RunOptions{MaxParallel: h.opts.MaxParallel}, cts[t])
+		if err != nil {
+			return nil, fmt.Errorf("tenant: %s: %w", s.Name, err)
+		}
+	}
+	results, err := h.Serve(sts)
+	errs := []error{err}
+	for t, res := range results {
+		if res == nil {
+			continue // a failed tenant's clients are released by closeFn
+		}
+		if err := waits[t](); err != nil {
+			results[t] = nil
+			errs = append(errs, fmt.Errorf("tenant: %s: %w", h.specs[t].Name, err))
+		}
+	}
+	return results, errors.Join(errs...)
+}
 
+// Serve is the host's server side: it serves tenant t over sts[t], the
+// tenant's view of a shared transport the caller built and owns, and
+// reaches the clients only through those views. Each tenant runs
+// core.Serve with its own journal directory (under Options.JournalRoot),
+// its slice of the shared fold arbiter and its name on every progress
+// line. Results come back in spec order; a failed tenant has a nil result
+// and its error joins the returned one, without interrupting the others.
+func (h *Host) Serve(sts []comm.ServerTransport) ([]*core.Result, error) {
+	if len(sts) != len(h.specs) {
+		return nil, fmt.Errorf("tenant: %d server transports for %d tenants", len(sts), len(h.specs))
+	}
 	weights := make([]int, len(h.specs))
 	for t, s := range h.specs {
 		weights[t] = s.Weight
@@ -230,10 +266,11 @@ func (h *Host) Run() ([]*core.Result, error) {
 			s := h.specs[t]
 			ropts := core.RunOptions{
 				ValidateEvery: h.opts.ValidateEvery,
-				MaxParallel:   h.opts.MaxParallel,
-				Progress:      h.opts.Progress,
 				Gate:          arb.Gate(t),
 				Kills:         s.Kills,
+			}
+			if h.opts.Progress != nil {
+				ropts.Progress = labeled{s.Name, h.opts.Progress}
 			}
 			if h.opts.JournalRoot != "" {
 				j, err := journal.Open(JournalDir(h.opts.JournalRoot, t))
@@ -246,7 +283,7 @@ func (h *Host) Run() ([]*core.Result, error) {
 				ropts.Journal = j
 				ropts.CheckpointEvery = h.opts.CheckpointEvery
 			}
-			res, err := core.RunWithTransport(s.Config, s.Fed, s.Factory, ropts, sts[t], cts[t])
+			res, err := core.Serve(s.Config, s.Factory(), s.Fed.Test, s.Fed.NumClients(), ropts, sts[t])
 			if err != nil {
 				errs[t] = fmt.Errorf("tenant: %s: %w", s.Name, err)
 				return
@@ -256,4 +293,19 @@ func (h *Host) Run() ([]*core.Result, error) {
 	}
 	wg.Wait()
 	return results, errors.Join(errs...)
+}
+
+// labeled prefixes each progress line with its tenant's name. The engine
+// writes every line in one call, so lines of concurrent tenants never
+// interleave mid-line.
+type labeled struct {
+	name string
+	w    io.Writer
+}
+
+func (l labeled) Write(p []byte) (int, error) {
+	if _, err := fmt.Fprintf(l.w, "%s  %s", l.name, p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
