@@ -14,7 +14,8 @@ type Linear struct {
 	Weight  *Parameter // [Out, In]
 	Bias    *Parameter // [Out]
 
-	lastInput *tensor.Tensor
+	lastInput   *tensor.Tensor
+	noInputGrad bool // bottom layer of a built model: Backward returns nil
 }
 
 // NewLinear constructs a Linear layer with Kaiming-uniform initialization.
@@ -47,25 +48,40 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	l.lastInput = x
 	y := tensor.MatMulTransB(x, l.Weight.Value) // [N, Out]
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := y.Row(i)
-		row.AddInPlace(l.Bias.Value)
-	}
+	addRows(y.Data(), l.Bias.Value.Data())
 	return y
 }
 
-// Backward accumulates dW = dyᵀ·x, db = Σ dy and returns dx = dy·W.
+// Backward accumulates dW = dyᵀ·x, db = Σ dy and returns dx = dy·W, or nil
+// at the bottom layer of a model built by NewMLP or NewLinearModel.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	l.Weight.Grad.AddInPlace(tensor.MatMulTransA(dy, l.lastInput))
-	n := dy.Dim(0)
-	for i := 0; i < n; i++ {
-		l.Bias.Grad.AddInPlace(dy.Row(i))
+	tensor.AddMatMulTransA(l.Weight.Grad, dy, l.lastInput)
+	sumRows(l.Bias.Grad.Data(), dy.Data())
+	if l.noInputGrad {
+		return nil
 	}
 	return tensor.MatMul(dy, l.Weight.Value)
+}
+
+// addRows adds v to every len(v)-long row of m.
+func addRows(m, v []float64) {
+	for ; len(v) > 0 && len(m) >= len(v); m = m[len(v):] {
+		for j, b := range v {
+			m[j] += b
+		}
+	}
+}
+
+// sumRows adds every len(v)-long row of m to v, in row order.
+func sumRows(v, m []float64) {
+	for ; len(v) > 0 && len(m) >= len(v); m = m[len(v):] {
+		for j, x := range m[:len(v)] {
+			v[j] += x
+		}
+	}
 }
 
 // Params returns the layer's weight and bias.
@@ -78,8 +94,9 @@ type Conv2D struct {
 	Weight                  *Parameter // [Cout, Cin, K, K]
 	Bias                    *Parameter // [Cout]
 
-	lastInput *tensor.Tensor
-	lastCols  []*tensor.Tensor
+	lastInput   *tensor.Tensor
+	ws          tensor.ConvWorkspace // im2col matrices and gradient partials, reused across steps
+	noInputGrad bool                 // bottom layer of a built model: Backward returns nil
 }
 
 // NewConv2D constructs a Conv2D layer with Kaiming-uniform initialization.
@@ -115,20 +132,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D expects [N,%d,H,W], got %v", c.InChannels, x.Shape()))
 	}
 	c.lastInput = x
-	y, cols := tensor.Conv2DForward(x, c.Weight.Value, c.Bias.Value, c.Stride, c.Pad)
-	c.lastCols = cols
-	return y
+	return c.ws.Forward(x, c.Weight.Value, c.Bias.Value, c.Stride, c.Pad)
 }
 
-// Backward accumulates weight/bias gradients and returns dx.
+// Backward accumulates weight/bias gradients and returns dx, or nil at the
+// bottom layer of a model built by NewCNN.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if c.lastInput == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	dx, dw, db := tensor.Conv2DBackward(dy, c.lastInput, c.Weight.Value, c.lastCols, true, c.Stride, c.Pad)
-	c.Weight.Grad.AddInPlace(dw)
-	c.Bias.Grad.AddInPlace(db)
-	return dx
+	return c.ws.Backward(dy, c.lastInput, c.Weight.Value, c.Weight.Grad, c.Bias.Grad, c.Stride, c.Pad, !c.noInputGrad)
 }
 
 // Params returns the layer's weight and bias.
@@ -224,8 +237,12 @@ func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return x.Reshape(n, x.Size()/max(n, 1))
 }
 
-// Backward restores the original shape.
+// Backward restores the original shape. A nil dy, from a layer above that
+// computes no input gradient, passes through as nil.
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if dy == nil {
+		return nil
+	}
 	return dy.Reshape(f.inShape...)
 }
 

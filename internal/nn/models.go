@@ -49,8 +49,10 @@ func NewCNN(cfg CNNConfig, r *rng.RNG) *Sequential {
 	// Spatial flow: conv(pad same) -> H×W, pool -> H/2×W/2, conv(pad same).
 	ph, pw := cfg.Height/2, cfg.Width/2
 	flat := cfg.Conv2 * ph * pw
+	conv1 := NewConv2D(cfg.InChannels, cfg.Conv1, cfg.Kernel, 1, pad, r)
+	conv1.noInputGrad = true
 	return NewSequential(
-		NewConv2D(cfg.InChannels, cfg.Conv1, cfg.Kernel, 1, pad, r),
+		conv1,
 		NewReLU(),
 		NewMaxPool2D(2, 2),
 		NewConv2D(cfg.Conv1, cfg.Conv2, cfg.Kernel, 1, pad, r),
@@ -74,6 +76,7 @@ func NewMLP(in int, hidden []int, classes int, r *rng.RNG) *Sequential {
 		prev = h
 	}
 	layers = append(layers, NewLinear(prev, classes, r))
+	layers[1].(*Linear).noInputGrad = true
 	return NewSequential(layers...)
 }
 
@@ -81,7 +84,7 @@ func NewMLP(in int, hidden []int, classes int, r *rng.RNG) *Sequential {
 // over flattened inputs (multinomial logistic regression under the
 // cross-entropy loss).
 func NewLinearModel(in, classes int, r *rng.RNG) *Sequential {
-	return NewSequential(NewFlatten(), NewLinear(in, classes, r))
+	return NewMLP(in, nil, classes, r)
 }
 
 // Factory builds fresh model replicas. Every federated client owns its own

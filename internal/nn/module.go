@@ -26,6 +26,12 @@ type Parameter struct {
 // the gradient of the loss with respect to the module output and returns the
 // gradient with respect to the module input, accumulating parameter
 // gradients along the way.
+//
+// At a model's input layer that gradient is the one with respect to the
+// data, which no training loop reads. The bottom layer of every model built
+// by NewCNN, NewMLP and NewLinearModel skips computing it, so their Backward
+// returns nil; a Sequential assembled from NewConv2D or NewLinear layers by
+// hand returns it.
 type Module interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor

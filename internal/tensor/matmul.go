@@ -6,13 +6,25 @@ import (
 	"sync"
 )
 
+// The dense kernels below share one contract. Every output element is a
+// single inner product summed over p in ascending order, starting from +0;
+// the kernel then either stores it or adds it to the destination ("sum
+// first, then add"). Outputs are computed in 2-row × 4-column register
+// tiles: eight accumulators and six operands per step, which amd64's
+// fifteen usable XMM registers hold with at most a few spills, where 4×4
+// tiles spill on every step. Remainder rows and columns are summed one
+// element at a time in the same order. Tiling changes which products share
+// a loop iteration, never an output's summation order, so results are
+// bit-identical to a scalar p-ascending loop for finite inputs.
+
 // parallelThreshold is the number of multiply-adds below which MatMul runs
 // serially; spawning goroutines for tiny products costs more than it saves.
 const parallelThreshold = 64 * 1024
 
 // MatMul returns the matrix product A·B for rank-2 tensors A [m,k] and
 // B [k,n]. Large products are partitioned by output row across
-// runtime.GOMAXPROCS workers.
+// runtime.GOMAXPROCS workers; each row is computed whole by one worker, so
+// the split does not change the result.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v x %v", a.shape, b.shape))
@@ -23,81 +35,57 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	work := m * n * k
-	if work < parallelThreshold {
-		matmulRows(a.data, b.data, out.data, 0, m, k, n)
+	workers := runtime.GOMAXPROCS(0)
+	if m*n*k < parallelThreshold || workers < 2 || m < 2 {
+		gemmNN(out.data, a.data, b.data, 0, m, k, n)
 		return out
 	}
-	workers := runtime.GOMAXPROCS(0)
 	if workers > m {
 		workers = m
 	}
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < m; lo += chunk {
+		hi := min(lo+chunk, m)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			matmulRows(a.data, b.data, out.data, lo, hi, k, n)
+			gemmNN(out.data, a.data, b.data, lo, hi, k, n)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return out
 }
 
-// matmulRows computes rows [lo,hi) of C = A·B using an ikj loop order that
-// streams through B row-wise for cache friendliness.
-func matmulRows(a, b, c []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			aip := ai[p]
-			if aip == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += aip * bv
-			}
-		}
-	}
-}
-
 // MatMulTransA returns Aᵀ·B for A [k,m], B [k,n] without materializing the
 // transpose.
 func MatMulTransA(a, b *Tensor) *Tensor {
+	k, m, n := transADims(a, b)
+	out := New(m, n)
+	gemmTN(out.data, a.data, b.data, m, k, n, false)
+	return out
+}
+
+// AddMatMulTransA adds Aᵀ·B to dst [m,n] for A [k,m], B [k,n]. Each
+// product is summed in full before it is added, so dst ends on the same
+// bits as dst.AddInPlace(MatMulTransA(a, b)) without the temporary.
+func AddMatMulTransA(dst, a, b *Tensor) {
+	k, m, n := transADims(a, b)
+	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: AddMatMulTransA destination %v, want [%d %d]", dst.shape, m, n))
+	}
+	gemmTN(dst.data, a.data, b.data, m, k, n, true)
+}
+
+func transADims(a, b *Tensor) (k, m, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransA requires rank-2 operands")
 	}
-	k, m := a.shape[0], a.shape[1]
+	k, m = a.shape[0], a.shape[1]
 	if b.shape[0] != k {
 		panic(fmt.Sprintf("tensor: MatMulTransA dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	n := b.shape[1]
-	out := New(m, n)
-	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := out.data[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-	return out
+	return k, m, b.shape[1]
 }
 
 // MatMulTransB returns A·Bᵀ for A [m,k], B [n,k] without materializing the
@@ -112,19 +100,140 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	for i := 0; i < m; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		ci := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b.data[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range ai {
-				s += av * bj[p]
+	gemmNT(out.data, a.data, b.data, m, k, n, false)
+	return out
+}
+
+// gemmNN sets rows [lo,hi) of C [m,n] to A·B for A [m,k], B [k,n].
+func gemmNN(c, a, b []float64, lo, hi, k, n int) {
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		a0 := a[i*k : i*k+k]
+		a1 := a[i*k+k : i*k+2*k]
+		a1 = a1[:len(a0)]
+		for j := 0; j+3 < n; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			bj, o := b[j:], 0
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				bp := bj[o : o+4 : o+4]
+				o += n
+				s00 += x0 * bp[0]
+				s10 += x1 * bp[0]
+				s01 += x0 * bp[1]
+				s11 += x1 * bp[1]
+				s02 += x0 * bp[2]
+				s12 += x1 * bp[2]
+				s03 += x0 * bp[3]
+				s13 += x1 * bp[3]
 			}
-			ci[j] = s
+			store4(c[i*n+j:], s00, s01, s02, s03, false)
+			store4(c[i*n+n+j:], s10, s11, s12, s13, false)
 		}
 	}
-	return out
+	edges(c, a, b, lo, i, hi, n, k, layout{k, 1, 1, n}, false)
+}
+
+// gemmTN sets C [m,n] to Aᵀ·B for A [k,m], B [k,n], or adds it to C when
+// acc is true.
+func gemmTN(c, a, b []float64, m, k, n int, acc bool) {
+	i := 0
+	for ; i+1 < m; i += 2 {
+		for j := 0; j+3 < n; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p := 0; p < k; p++ {
+				ap := a[p*m+i : p*m+i+2 : p*m+i+2]
+				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
+				x0, x1 := ap[0], ap[1]
+				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+				s00 += x0 * b0
+				s01 += x0 * b1
+				s02 += x0 * b2
+				s03 += x0 * b3
+				s10 += x1 * b0
+				s11 += x1 * b1
+				s12 += x1 * b2
+				s13 += x1 * b3
+			}
+			store4(c[i*n+j:], s00, s01, s02, s03, acc)
+			store4(c[i*n+n+j:], s10, s11, s12, s13, acc)
+		}
+	}
+	edges(c, a, b, 0, i, m, n, k, layout{1, m, 1, n}, acc)
+}
+
+// gemmNT sets C [m,n] to A·Bᵀ for A [m,k], B [n,k], or adds it to C when
+// acc is true.
+func gemmNT(c, a, b []float64, m, k, n int, acc bool) {
+	i := 0
+	for ; i+1 < m; i += 2 {
+		a0 := a[i*k : i*k+k]
+		a1 := a[i*k+k : i*k+2*k]
+		a1 = a1[:len(a0)]
+		for j := 0; j+3 < n; j += 4 {
+			b0 := b[j*k : j*k+k]
+			b1 := b[j*k+k : j*k+2*k]
+			b2 := b[j*k+2*k : j*k+3*k]
+			b3 := b[j*k+3*k : j*k+4*k]
+			b0, b1, b2, b3 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)], b3[:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
+			}
+			store4(c[i*n+j:], s00, s01, s02, s03, acc)
+			store4(c[i*n+n+j:], s10, s11, s12, s13, acc)
+		}
+	}
+	edges(c, a, b, 0, i, m, n, k, layout{k, 1, k, 1}, acc)
+}
+
+// store4 writes one tile row s0..s3 to c[0:4], or adds it when acc is true.
+func store4(c []float64, s0, s1, s2, s3 float64, acc bool) {
+	c = c[:4]
+	if acc {
+		c[0] += s0
+		c[1] += s1
+		c[2] += s2
+		c[3] += s3
+	} else {
+		c[0], c[1], c[2], c[3] = s0, s1, s2, s3
+	}
+}
+
+// layout gives the strides of one kernel's operands: A's element (i,p) is
+// a[i*ai + p*ap] and B's element (p,j) is b[p*bp + j*bj].
+type layout struct{ ai, ap, bj, bp int }
+
+// edges computes the outputs the 2×4 tiles left out, one scalar inner
+// product each, in the same order: every column of the rows [tiled,hi)
+// and the last n mod 4 columns of the tiled rows [lo,tiled).
+func edges(c, a, b []float64, lo, tiled, hi, n, k int, l layout, acc bool) {
+	for i := lo; i < hi; i++ {
+		j := n - n%4
+		if i >= tiled {
+			j = 0
+		}
+		for ; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += a[i*l.ai+p*l.ap] * b[p*l.bp+j*l.bj]
+			}
+			if acc {
+				c[i*n+j] += s
+			} else {
+				c[i*n+j] = s
+			}
+		}
+	}
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
