@@ -144,9 +144,12 @@ func (jw *journalWriter) roundStart(round int, cohort []int, version uint64) {
 	jw.append(rec)
 }
 
-// admit journals one admitted update with its dense decoded primal. skip
-// lists client IDs already journaled for this round (a resumed round's
-// pre-crash admits), which must not be double-counted.
+// admitBatch journals each admitted update in the form the fold consumes:
+// the dense decoded primal on the two-pass path, the validated payload as
+// it arrived on the fused path (aliased, not copied — the record is
+// encoded before admitBatch returns). skip lists client IDs already
+// journaled for this round (a resumed round's pre-crash admits), which
+// must not be double-counted.
 func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip map[int]bool) {
 	if jw == nil {
 		return
@@ -162,7 +165,11 @@ func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip ma
 		rec.ClientID = u.ClientID
 		rec.NumSamples = u.NumSamples
 		rec.BaseVersion = u.BaseVersion
-		rec.Primal = append(rec.Primal, u.Primal...)
+		if len(u.Primal) == 0 && u.PrimalP != nil {
+			rec.Payload = u.PrimalP
+		} else {
+			rec.Primal = append(rec.Primal, u.Primal...)
+		}
 		jw.append(rec)
 	}
 }
@@ -219,13 +226,14 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 }
 
 // ValidateJournalConfig rejects configurations the journal cannot make
-// crash-recoverable. Journaling needs every admitted update's dense primal
-// in hand at admit time (so a refold needs no client cooperation), which
-// pins the FedAvg family on the flat accumulator: the ADMM servers carry
-// per-client dual state no admit record captures, the streamed-chunk path
-// folds without ever materializing a primal, subset uploads admit partial
-// vectors, and the shard tier distributes the accumulator across worker
-// state that a weights-only commit cannot reseed.
+// crash-recoverable. Journaling needs every admitted update's whole primal
+// in hand at admit time — dense, or still encoded for the fused fold — so
+// a refold needs no client cooperation, which pins the FedAvg family on
+// the flat accumulator: the ADMM servers carry per-client dual state no
+// admit record captures, the streamed-chunk path folds without ever
+// holding a whole primal, subset uploads admit partial vectors, and the
+// shard tier distributes the accumulator across worker state that a
+// weights-only commit cannot reseed.
 func ValidateJournalConfig(cfg Config) error {
 	if cfg.Algorithm != AlgoFedAvg {
 		return fmt.Errorf("core: journaling requires FedAvg (ADMM dual state is not journaled)")

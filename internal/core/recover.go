@@ -9,14 +9,15 @@ import (
 
 // PendingRound is a round the crashed server had opened but not committed.
 // For a barrier scheduler it is the dispatched round: Cohort is who got the
-// model and Admitted the updates whose dense primals made it into the
-// journal before the crash (possibly none, possibly all). For the buffered
-// scheduler it is an admitted-but-uncommitted release batch.
+// model and Admitted the updates that made it into the journal before the
+// crash (possibly none, possibly all). For the buffered scheduler it is an
+// admitted-but-uncommitted release batch.
 type PendingRound struct {
 	Round  int
 	Cohort []int
-	// Admitted holds the journaled admits reconstructed as decoded local
-	// updates, in journal (= pre-crash batch) order.
+	// Admitted holds the journaled admits reconstructed as local updates,
+	// in journal (= pre-crash batch) order: a dense Primal for a two-pass
+	// admit, a still-encoded PrimalP for a fused one.
 	Admitted []*wire.LocalUpdate
 }
 
@@ -106,6 +107,7 @@ func RecoverServer(rec *journal.Recovered, numClients int, barrier bool) (*Recov
 				NumSamples:  r.NumSamples,
 				BaseVersion: r.BaseVersion,
 				Primal:      r.Primal,
+				PrimalP:     r.Payload,
 				InCohort:    true,
 			}
 			if barrier {

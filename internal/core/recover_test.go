@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/journal"
 	"repro/internal/wire"
 )
@@ -226,5 +227,166 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 	defer closeAggregator(agg)
 	if err := (&RecoveredServer{Weights: []float64{1}, Version: 1}).Apply(agg); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+}
+
+// owedTransport is a server transport whose listed clients already owe
+// their updates for the open round (the dispatch happened before the
+// crash): GatherFrom hands back the canned updates in the order asked.
+// Every other method is unused by a round completion and panics.
+type owedTransport struct {
+	comm.ServerTransport
+	owed map[int]*wire.LocalUpdate
+}
+
+func (o *owedTransport) Outstanding() []int {
+	ids := make([]int, 0, len(o.owed))
+	for c := range o.owed {
+		ids = append(ids, c)
+	}
+	return ids
+}
+
+func (o *owedTransport) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
+	out := make([]*wire.LocalUpdate, len(clients))
+	for i, c := range clients {
+		out[i] = o.owed[c]
+		delete(o.owed, c)
+	}
+	return out, nil
+}
+
+// TestRecoverLegacyDenseAdmitsIntoFusedRound replays a journal written
+// before admits were journaled as received: the open round holds dense
+// Primal admits. Recovered into an f16-configured FedAvg server, the round
+// completes with the rest of the cohort arriving still encoded, so the
+// fused fold sees a mixed dense/encoded batch; the commit must carry the
+// exact bits of the two-pass fold of the same updates, and the fresh
+// admits must be journaled as their encoded payloads.
+func TestRecoverLegacyDenseAdmitsIntoFusedRound(t *testing.T) {
+	const (
+		clients = 4
+		legacy  = 2 // clients 0 and 1 were admitted before the crash
+		dim     = 3*minShard + 17
+		seed    = 77
+	)
+	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 1, Pipeline: "clip:1,f16"}.WithDefaults()
+	inv, err := NewServerPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0 := testVec(dim, 1)
+
+	// The reference: the whole cohort decoded two-pass, then folded.
+	want, err := NewAggregator(cfg, w0, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAggregator(want)
+	ref := encodedBatch(t, cfg, clients, dim, seed, nil)
+	if err := DecodeUpdates(ref, inv, dim, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Aggregate(ref); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pre-change journal: round 1 opened, two dense admits, no commit.
+	dir := t.TempDir()
+	j, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.NoSync = true
+	cohort := []uint32{0, 1, 2, 3}
+	if err := j.Append(jrRoundStart(1, cohort, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < legacy; c++ {
+		if err := j.Append(jrAdmit(1, c, ref[c].NumSamples, ref[c].Primal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err = journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.NoSync = true
+	defer j.Close()
+	rs, err := RecoverServer(j.Recovered(), clients, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rs.Pending
+	if p == nil || len(p.Admitted) != legacy {
+		t.Fatalf("pending round %+v, want %d replayed admits", p, legacy)
+	}
+	for _, u := range p.Admitted {
+		if len(u.Primal) != dim || u.PrimalP != nil {
+			t.Fatalf("legacy admit of client %d replayed as primal %d, payload %v", u.ClientID, len(u.Primal), u.PrimalP)
+		}
+	}
+	agg, err := NewAggregator(cfg, w0, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAggregator(agg)
+	if err := rs.Apply(agg); err != nil {
+		t.Fatal(err)
+	}
+	fresh := encodedBatch(t, cfg, clients, dim, seed, nil)
+	st := &owedTransport{owed: map[int]*wire.LocalUpdate{}}
+	for c := legacy; c < clients; c++ {
+		st.owed[c] = fresh[c]
+	}
+	s := &serving{cfg: cfg, st: st, serverPipe: inv, res: &Result{}, validateEvery: 1,
+		jw: newJournalWriter(j, 0, nil)}
+	if s.fused, _ = EnableFusedFold(agg, inv); s.fused == nil {
+		t.Fatal("f16 pipeline did not enable the fused fold")
+	}
+	dl := newDownlink(cfg, agg)
+	defer dl.release()
+	if err := s.completeBarrierRound(agg, rs.mem, dl, p); err != nil {
+		t.Fatal(err)
+	}
+
+	got := agg.WeightsInto(nil)
+	for k, w := range want.WeightsInto(nil) {
+		if math.Float64bits(got[k]) != math.Float64bits(w) {
+			t.Fatalf("weight %d = %v after the mixed fold, two-pass fold gives %v", k, got[k], w)
+		}
+	}
+	rd, err := j.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := 0
+	var commit *wire.JournalRecord
+	for _, r := range rd.Records {
+		switch r.Op {
+		case wire.JournalAdmit:
+			admits++
+			legacyAdmit := int(r.ClientID) < legacy
+			if legacyAdmit != (len(r.Primal) == dim) || legacyAdmit != (r.Payload == nil) {
+				t.Fatalf("client %d admit journaled with primal %d, payload %v", r.ClientID, len(r.Primal), r.Payload)
+			}
+			if !legacyAdmit && r.Payload.Enc != wire.EncFloat16 {
+				t.Fatalf("client %d admit journaled %s-encoded, want float16", r.ClientID, r.Payload.Enc)
+			}
+		case wire.JournalCommit:
+			commit = r
+		}
+	}
+	if admits != clients || commit == nil {
+		t.Fatalf("journal holds %d admits (commit %v), want %d and a commit", admits, commit != nil, clients)
+	}
+	for k, w := range commit.Weights {
+		if math.Float64bits(w) != math.Float64bits(got[k]) {
+			t.Fatalf("committed weight %d = %v, folded %v", k, w, got[k])
+		}
 	}
 }

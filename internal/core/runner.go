@@ -401,6 +401,11 @@ type serving struct {
 	progress      io.Writer
 	jw            *journalWriter
 	gate          AdmissionGate
+	// fused is the current aggregator's fused invert+fold stage, or nil
+	// when batches decode two-pass (see decodeBatch). Each round loop sets
+	// it on entry through EnableFusedFold: recovery rebuilds the
+	// aggregator, and the rebuilt one must be wired the same way.
+	fused pipeline.FusedStage
 }
 
 // Serve is the server side of a federation of numClients clients, which it
@@ -555,6 +560,20 @@ func Serve(cfg Config, evalModel nn.Module, test dataset.Dataset, numClients int
 	return res, nil
 }
 
+// decodeBatch readies a batch for the fold — the one decode step of every
+// loop. On the fused path it screens the still-encoded payloads (declared
+// dimension, the stack's encoding, structure) and leaves them encoded for
+// the fold kernels; otherwise it inverts them to dense primals. Live
+// gathers, re-gathered stragglers and replayed admits all pass through
+// it, so a journaled run folds as an unjournaled one does; a dense update
+// (such as an admit replayed from an older journal) passes untouched.
+func (s *serving) decodeBatch(data []*wire.LocalUpdate, dim int) error {
+	if s.fused != nil {
+		return DecodeUpdatesFused(data, s.fused, dim)
+	}
+	return DecodeUpdates(data, s.serverPipe, dim, s.cfg.AggWorkers)
+}
+
 // record finalizes one round's statistics, validating on cadence.
 func (s *serving) record(rs RoundStats, agg Aggregator, start time.Time, wbuf []float64) {
 	if s.test != nil && (rs.Round%s.validateEvery == 0 || rs.Round == s.cfg.Rounds) {
@@ -646,16 +665,7 @@ func (d *downlink) send(st comm.ServerTransport, ids []int, round int) (*wire.Gl
 // lease expires.
 func (s *serving) barrierRounds(sched Scheduler, agg Aggregator, mem *membership, resume *RecoveredServer) error {
 	cfg, st, jw := s.cfg, s.st, s.jw
-	// Fast path of the kernel layer: fold still-encoded payloads when the
-	// stack's inverse fuses, bit-identical to the two-pass path it
-	// replaces. Journaled runs skip the fused fold: an admit record needs
-	// the dense decoded primal in hand before anything folds, so the
-	// inverse must run as its own pass.
-	var fusedStage pipeline.FusedStage
-	fused := false
-	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, s.serverPipe)
-	}
+	s.fused, _ = EnableFusedFold(agg, s.serverPipe)
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
@@ -739,12 +749,7 @@ func (s *serving) barrierRounds(sched Scheduler, agg Aggregator, mem *membership
 		// shared aggregation workers on a multi-tenant host.
 		releaseGate := gateAcquire(s.gate, len(data))
 		if stream == nil {
-			if fused {
-				err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
-			} else {
-				err = DecodeUpdates(data, s.serverPipe, agg.Dim(), cfg.AggWorkers)
-			}
-			if err != nil {
+			if err := s.decodeBatch(data, agg.Dim()); err != nil {
 				releaseGate()
 				return fmt.Errorf("core: decode round %d: %w", t, err)
 			}
@@ -811,16 +816,17 @@ func maxCompute(data []*wire.LocalUpdate) float64 {
 }
 
 // completeBarrierRound finishes the round a crashed server left in flight:
-// the journaled admits are taken as-is (their primals were written before
-// the crash), the rest of the cohort is gathered, and the merged batch
-// folds in cohort order — the order the uncrashed gather would have
-// produced — so the refold is bit-identical to the fold the crash
-// interrupted. Cohort members the transport owes nothing for never got
-// this round's model (a cold restart on fresh transports, or a dispatch
-// the crash cut short) and are sent it again first; the committed model
-// the journal restored is the model the round was opened with. After an
-// in-process kill the surviving transport still holds the original
-// dispatch's obligations, and those clients are only re-gathered.
+// the journaled admits are taken as-is (they were written before the
+// crash, in the form the fold consumes), the rest of the cohort is
+// gathered, and the merged batch folds in cohort order — the order the
+// uncrashed gather would have produced — so the refold is bit-identical
+// to the fold the crash interrupted. Cohort members the transport owes
+// nothing for never got this round's model (a cold restart on fresh
+// transports, or a dispatch the crash cut short) and are sent it again
+// first; the committed model the journal restored is the model the round
+// was opened with. After an in-process kill the surviving transport still
+// holds the original dispatch's obligations, and those clients are only
+// re-gathered.
 func (s *serving) completeBarrierRound(agg Aggregator, mem *membership, dl *downlink, p *PendingRound) error {
 	cfg, st := s.cfg, s.st
 	roundStart := time.Now()
@@ -860,10 +866,6 @@ func (s *serving) completeBarrierRound(agg Aggregator, mem *membership, dl *down
 			return fmt.Errorf("core: re-gather round %d: %w", p.Round, err)
 		}
 		fresh = splitControl(updates, mem)
-		if err := DecodeUpdates(fresh, s.serverPipe, agg.Dim(), cfg.AggWorkers); err != nil {
-			return fmt.Errorf("core: decode resumed round %d: %w", p.Round, err)
-		}
-		s.jw.admitBatch(p.Round, fresh, admitted)
 	}
 	byID := make(map[int]*wire.LocalUpdate, len(p.Admitted)+len(fresh))
 	for _, u := range p.Admitted {
@@ -878,6 +880,13 @@ func (s *serving) completeBarrierRound(agg Aggregator, mem *membership, dl *down
 			data = append(data, u)
 		}
 	}
+	// The replayed admits and the fresh updates share the one decode step;
+	// the fresh ones are journaled after it and before the fold, as in a
+	// live round.
+	if err := s.decodeBatch(data, agg.Dim()); err != nil {
+		return fmt.Errorf("core: decode resumed round %d: %w", p.Round, err)
+	}
+	s.jw.admitBatch(p.Round, fresh, admitted)
 	if len(data) < minCohort {
 		return fmt.Errorf("core: resumed round %d completed with %d of %d clients, quorum is %d: %w",
 			p.Round, len(data), len(p.Cohort), minCohort, ErrQuorum)
@@ -953,13 +962,7 @@ func splitControl(updates []*wire.LocalUpdate, mem *membership) []*wire.LocalUpd
 func (s *serving) bufferedReleases(sched Scheduler, agg Aggregator, mem *membership, resume *RecoveredServer) error {
 	cfg, st, jw, res := s.cfg, s.st, s.jw, s.res
 	quorum := sched.Quorum()
-	// Journaled runs skip the fused fold: an admit record needs the dense
-	// decoded primal before anything folds.
-	var fusedStage pipeline.FusedStage
-	fused := false
-	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, s.serverPipe)
-	}
+	s.fused, _ = EnableFusedFold(agg, s.serverPipe)
 	dl := newDownlink(cfg, agg)
 	defer dl.release()
 	// dispatch opens one obligation per id and journals it as a RoundStart.
@@ -1035,6 +1038,9 @@ func (s *serving) bufferedReleases(sched Scheduler, agg Aggregator, mem *members
 			// fold would have — then close the release and hand the
 			// contributors the fresh model the dead process never sent.
 			relStart := time.Now()
+			if err := s.decodeBatch(p.Admitted, agg.Dim()); err != nil {
+				return fmt.Errorf("core: decode resumed release %d: %w", p.Round, err)
+			}
 			if err := fold(p.Admitted); err != nil {
 				return fmt.Errorf("core: aggregate resumed release %d: %w", p.Round, err)
 			}
@@ -1127,12 +1133,7 @@ func (s *serving) bufferedReleases(sched Scheduler, agg Aggregator, mem *members
 		// The admission gate spans decode through fold, the contended
 		// server-side work on a multi-tenant host.
 		releaseGate := gateAcquire(s.gate, len(data))
-		if fused {
-			err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
-		} else {
-			err = DecodeUpdates(data, s.serverPipe, agg.Dim(), cfg.AggWorkers)
-		}
-		if err != nil {
+		if err := s.decodeBatch(data, agg.Dim()); err != nil {
 			releaseGate()
 			return fmt.Errorf("core: decode release %d: %w", rel, err)
 		}

@@ -163,6 +163,89 @@ func TestSoakBarrierKillsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSoakEncodedAdmitsBitIdentical kills journaled runs with compressed
+// uplinks in every window. The fused pipelines (f16, quantize) journal
+// each admit as the still-encoded payload it arrived as and refold it
+// through the fused path; the two-pass pipeline (topk) journals the dense
+// decoded primal. Either way the per-round loss bits equal the kill-free
+// unjournaled run's, and the WAL of a kill-free journaled run holds each
+// admit in exactly the form its fold consumes.
+func TestSoakEncodedAdmitsBitIdentical(t *testing.T) {
+	const rounds = 8
+	pipes := []struct {
+		name, spec string
+		enc        wire.Encoding // journaled admit encoding; EncDense = a dense Primal
+	}{
+		{"f16", "clip:1,f16", wire.EncFloat16},
+		{"quant8", "clip:1,quantize:8", wire.EncQuant},
+		{"topk", "clip:1,topk:0.2", wire.EncDense},
+	}
+	for _, p := range pipes {
+		for _, tr := range []Transport{TransportMPI, TransportRPC} {
+			if testing.Short() && tr != TransportMPI {
+				continue
+			}
+			p, tr := p, tr
+			t.Run(p.name+"/"+string(tr), func(t *testing.T) {
+				t.Parallel()
+				cfg := scenConfig(SchedSyncAll, p.spec)
+				cfg.Rounds = rounds
+				base := runSoakScenario(t, cfg, RunOptions{Transport: tr})
+				kills := cyclingKills(rounds, 2)
+				res := runSoakScenario(t, cfg, RunOptions{
+					Transport:       tr,
+					Journal:         soakJournal(t),
+					CheckpointEvery: 3,
+					Kills:           kills,
+				})
+				assertMonotoneRounds(t, res, rounds)
+				assertSoakStats(t, res, len(kills))
+				for i := range base.Rounds {
+					if math.Float64bits(res.Rounds[i].TestLoss) != math.Float64bits(base.Rounds[i].TestLoss) {
+						t.Fatalf("round %d loss %v differs from kill-free unjournaled %v",
+							i+1, res.Rounds[i].TestLoss, base.Rounds[i].TestLoss)
+					}
+				}
+
+				// A kill-free journaled run without checkpoints keeps every
+				// admit in the WAL; reopen it and read them back.
+				j := soakJournal(t)
+				runSoakScenario(t, cfg, RunOptions{Transport: tr, Journal: j})
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				j, err := journal.Open(j.Dir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer j.Close()
+				dim := res.ModelDim
+				admits := 0
+				for _, r := range j.Recovered().Records {
+					if r.Op != wire.JournalAdmit {
+						continue
+					}
+					admits++
+					if p.enc == wire.EncDense {
+						if r.Payload != nil || len(r.Primal) != dim {
+							t.Fatalf("%s admit of client %d journaled with payload %v and %d primal values, want a dense primal of %d",
+								p.name, r.ClientID, r.Payload, len(r.Primal), dim)
+						}
+						continue
+					}
+					if len(r.Primal) != 0 || r.Payload == nil || r.Payload.Enc != p.enc || int(r.Payload.Dim) != dim {
+						t.Fatalf("%s admit of client %d journaled with %d primal values and payload %+v, want a %s payload of dim %d",
+							p.name, r.ClientID, len(r.Primal), r.Payload, p.enc, dim)
+					}
+				}
+				if admits != rounds*scenClients {
+					t.Fatalf("WAL holds %d admits, want %d", admits, rounds*scenClients)
+				}
+			})
+		}
+	}
+}
+
 // TestSoakBufferedKillRecovers kills the buffered server in every window.
 // Buffered releases are arrival-ordered (timing-dependent even without
 // kills), so the invariants are structural: monotone releases, all kills

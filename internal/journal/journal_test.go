@@ -299,3 +299,29 @@ func TestJournalCorruptCheckpointIsTyped(t *testing.T) {
 		t.Fatalf("corrupt checkpoint: want ErrCorrupt, got %v", err)
 	}
 }
+
+// TestJournalMisplacedAdmitPayloadIsCorrupt: a record whose CRC holds but
+// whose admit shape does not (a payload off an Admit, or beside a dense
+// primal) is not a torn write, and replay surfaces it as ErrCorrupt.
+func TestJournalMisplacedAdmitPayloadIsCorrupt(t *testing.T) {
+	f16 := &wire.Payload{Enc: wire.EncFloat16, Dim: 3, Codes: []byte{0, 0x3c, 0, 0xc0, 0, 0}}
+	commit := rec(wire.JournalCommit, 1)
+	commit.Payload = f16
+	both := rec(wire.JournalAdmit, 1)
+	both.Payload = f16
+	for name, bad := range map[string]*wire.JournalRecord{"payload on commit": commit, "primal and payload": both} {
+		dir := t.TempDir()
+		j := mustOpen(t, dir)
+		for _, r := range []*wire.JournalRecord{rec(wire.JournalRoundStart, 1), bad} {
+			if err := j.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
+	}
+}

@@ -70,6 +70,10 @@ func seedMessages() [][]byte {
 	add(&ChunkAck{ClientID: 3, Round: 2, Index: 1})
 	add(&JournalRecord{Seq: 5, Op: JournalRoundStart, Round: 2, Version: 1, Cohort: []uint32{0, 2, 5}})
 	add(&JournalRecord{Seq: 6, Op: JournalAdmit, Round: 2, ClientID: 2, NumSamples: 64, BaseVersion: 1, Primal: []float64{0.5, -1.5}})
+	add(&JournalRecord{Seq: 6, Op: JournalAdmit, Round: 2, ClientID: 3, NumSamples: 32, BaseVersion: 1,
+		Payload: &Payload{Enc: EncFloat16, Dim: 2, Codes: []byte{0x00, 0x3c, 0x00, 0xc0}}})
+	add(&JournalRecord{Seq: 6, Op: JournalAdmit, Round: 2, ClientID: 4, NumSamples: 48,
+		Payload: &Payload{Enc: EncQuant, Dim: 3, Scale: 0.25, Offset: -1, Bits: 8, Codes: []byte{0, 128, 255}}})
 	add(&JournalRecord{Seq: 7, Op: JournalLedger, Round: 2, ClientID: 5, LedgerOp: LedgerStrike, Param: 2})
 	add(&JournalRecord{Seq: 8, Op: JournalCommit, Round: 2, Version: 2, Weights: []float64{1, 2, 3}})
 	add(&JournalCheckpoint{
@@ -172,7 +176,8 @@ func FuzzDecodeLocalUpdate(f *testing.F) {
 // FuzzDecodeJournalRecord: the recovery path decodes journal bytes that a
 // crash may have mangled arbitrarily — no input may panic, and any record
 // that survives decoding carries a valid op discriminator (the replay
-// switch dispatches on it unchecked).
+// switch dispatches on it unchecked) and a payload only where replay
+// expects one: on an Admit, alone, and structurally valid.
 func FuzzDecodeJournalRecord(f *testing.F) {
 	for _, b := range seedMessages() {
 		f.Add(b)
@@ -184,6 +189,14 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 		if err := rec.Unmarshal(NewDecoder(data)); err == nil {
 			if rec.Op < JournalRoundStart || rec.Op > JournalCommit {
 				t.Fatalf("decoded record carries invalid op %d", rec.Op)
+			}
+			if p := rec.Payload; p != nil {
+				if rec.Op != JournalAdmit || len(rec.Primal) > 0 {
+					t.Fatalf("decoded op %d record carries a payload beside %d primal values", rec.Op, len(rec.Primal))
+				}
+				if err := p.Validate(); err != nil {
+					t.Fatalf("decoded admit payload is invalid: %v", err)
+				}
 			}
 		}
 		var cp JournalCheckpoint

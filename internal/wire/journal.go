@@ -11,9 +11,11 @@ const (
 	// JournalRoundStart opens a round (barrier) or records a dispatch
 	// (buffered): the cohort the model went to, at which version.
 	JournalRoundStart uint8 = 1
-	// JournalAdmit records one admitted LocalUpdate with its dense decoded
-	// primal — written before the fold, so an interrupted aggregation can
-	// refold the batch bit-identically without re-asking the clients.
+	// JournalAdmit records one admitted LocalUpdate in the form the fold
+	// consumes — its validated, still-encoded payload on the fused path,
+	// its dense decoded primal otherwise — written before the fold, so an
+	// interrupted aggregation can refold the batch bit-identically without
+	// re-asking the clients.
 	JournalAdmit uint8 = 2
 	// JournalLedger records one membership/obligation-ledger mutation
 	// (strike, depart, report, rejoin); see the Ledger* constants.
@@ -56,8 +58,9 @@ type JournalRecord struct {
 	NumSamples  uint64
 	BaseVersion uint64
 	// Primal is the admitted update's dense decoded parameter vector
-	// (Admit only) — post pipeline inverse, so a replayed fold needs no
-	// client cooperation and reproduces the original bits.
+	// (Admit only, two-pass path) — post pipeline inverse, so a replayed
+	// fold needs no client cooperation and reproduces the original bits.
+	// Journals written before Payload existed carry every admit this way.
 	Primal []float64
 	// Weights is the committed global model (Commit only).
 	Weights []float64
@@ -65,6 +68,11 @@ type JournalRecord struct {
 	// round (LedgerStrike) or the rejoin round (LedgerDepart).
 	LedgerOp uint8
 	Param    uint32
+	// Payload is the admitted update's validated payload as it arrived,
+	// still encoded (Admit only, fused path): the fused fold decodes it
+	// in the same sweep, so the record is the compressed upload's size.
+	// An Admit carries Primal or Payload, never both.
+	Payload *Payload
 }
 
 // Reset clears m for reuse, keeping the vector buffers' capacity.
@@ -108,12 +116,16 @@ func (m *JournalRecord) Marshal(e *Encoder) {
 	if m.Param > 0 {
 		e.Uint64(12, uint64(m.Param))
 	}
+	if m.Payload != nil {
+		m.Payload.EncodeInto(e, 13)
+	}
 }
 
 // Unmarshal decodes m, ignoring unknown fields. m is Reset first so reused
 // structs reuse buffer capacity without leaking a previous record's fields.
-// The Op and LedgerOp discriminators are validated; adversarial input
-// errors, never panics.
+// The Op and LedgerOp discriminators are validated, and so is the shape of
+// an admit: a Payload only on an Admit, never beside a Primal. Adversarial
+// input errors, never panics.
 func (m *JournalRecord) Unmarshal(d *Decoder) error {
 	m.Reset()
 	for d.More() {
@@ -186,6 +198,15 @@ func (m *JournalRecord) Unmarshal(d *Decoder) error {
 				return err
 			}
 			m.Param = uint32(v)
+		case 13:
+			b, err := d.BytesField()
+			if err != nil {
+				return err
+			}
+			m.Payload = &Payload{}
+			if err := m.Payload.Unmarshal(NewDecoder(b)); err != nil {
+				return err
+			}
 		default:
 			if err := d.Skip(w); err != nil {
 				return err
@@ -194,6 +215,14 @@ func (m *JournalRecord) Unmarshal(d *Decoder) error {
 	}
 	if m.Op == 0 {
 		return fmt.Errorf("wire: journal record without an op")
+	}
+	if m.Payload != nil {
+		if m.Op != JournalAdmit {
+			return fmt.Errorf("wire: journal op %d carries an admit payload", m.Op)
+		}
+		if len(m.Primal) > 0 {
+			return fmt.Errorf("wire: journal admit carries both a dense primal and a payload")
+		}
 	}
 	return nil
 }

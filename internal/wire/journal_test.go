@@ -50,6 +50,71 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalRecordPayloadRoundTrip pins the encoded admit: an Admit that
+// journals its update as received carries the payload in field 13, every
+// encoding survives the round trip bit for bit, and no dense primal
+// appears beside it.
+func TestJournalRecordPayloadRoundTrip(t *testing.T) {
+	payloads := []*Payload{
+		{Enc: EncDense, Dim: 3, Dense: []float64{0.25, -3.5, 1e-9}},
+		{Enc: EncFloat16, Dim: 3, Codes: []byte{0x00, 0x3c, 0x00, 0xc0, 0x01, 0x80}},
+		{Enc: EncQuant, Dim: 4, Scale: 0.125, Offset: -2, Bits: 8, Codes: []byte{0, 17, 128, 255}},
+		{Enc: EncQuant, Dim: 2, Scale: 1e-3, Offset: 0.5, Bits: 12, Codes: []byte{0xff, 0x0f, 0x01, 0x00}},
+		{Enc: EncSparse, Dim: 9, Indices: []uint32{0, 4, 8}, Values: []float64{1, -2, 0.5}},
+	}
+	for _, p := range payloads {
+		rec := &JournalRecord{Seq: 2, Op: JournalAdmit, Round: 1, ClientID: 3, NumSamples: 128,
+			BaseVersion: 7, Payload: p}
+		got := roundTripRecord(t, rec)
+		if got.Op != JournalAdmit || got.ClientID != 3 || got.NumSamples != 128 || got.BaseVersion != 7 {
+			t.Fatalf("%s admit header round-trip: %+v", p.Enc, got)
+		}
+		if len(got.Primal) != 0 || got.Payload == nil {
+			t.Fatalf("%s admit decoded with primal %v, payload %v", p.Enc, got.Primal, got.Payload)
+		}
+		norm := func(q Payload) Payload {
+			if len(q.Dense) == 0 {
+				q.Dense = nil
+			}
+			if len(q.Indices) == 0 {
+				q.Indices = nil
+			}
+			if len(q.Values) == 0 {
+				q.Values = nil
+			}
+			if len(q.Codes) == 0 {
+				q.Codes = nil
+			}
+			return q
+		}
+		if !reflect.DeepEqual(norm(*p), norm(*got.Payload)) {
+			t.Fatalf("%s payload round-trip mismatch:\n  sent %+v\n  got  %+v", p.Enc, p, got.Payload)
+		}
+	}
+}
+
+// TestJournalRecordRejectsMisplacedPayload pins the admit shape: a payload
+// on any record other than an Admit, or an Admit carrying both a dense
+// primal and a payload, is corrupt — replay must not guess which vector
+// the fold was meant to consume.
+func TestJournalRecordRejectsMisplacedPayload(t *testing.T) {
+	f16 := &Payload{Enc: EncFloat16, Dim: 1, Codes: []byte{0x00, 0x3c}}
+	bad := map[string]*JournalRecord{
+		"round start": {Seq: 1, Op: JournalRoundStart, Round: 1, Cohort: []uint32{0}, Payload: f16},
+		"ledger":      {Seq: 1, Op: JournalLedger, Round: 1, ClientID: 1, LedgerOp: LedgerReport, Payload: f16},
+		"commit":      {Seq: 1, Op: JournalCommit, Round: 1, Version: 1, Weights: []float64{1}, Payload: f16},
+		"both":        {Seq: 1, Op: JournalAdmit, Round: 1, NumSamples: 8, Primal: []float64{1}, Payload: f16},
+	}
+	for name, rec := range bad {
+		e := NewEncoder(nil)
+		rec.Marshal(e)
+		var got JournalRecord
+		if err := got.Unmarshal(NewDecoder(e.Bytes())); err == nil {
+			t.Errorf("%s: record with a misplaced payload accepted", name)
+		}
+	}
+}
+
 func TestJournalRecordRejectsBadOps(t *testing.T) {
 	e := NewEncoder(nil)
 	e.Uint64(2, 9) // op out of range
