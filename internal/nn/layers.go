@@ -15,7 +15,8 @@ type Linear struct {
 	Bias    *Parameter // [Out]
 
 	lastInput   *tensor.Tensor
-	noInputGrad bool // bottom layer of a built model: Backward returns nil
+	pack        tensor.Pack // x·Wᵀ packing panel, reused across steps
+	noInputGrad bool        // bottom layer of a built model: Backward returns nil
 }
 
 // NewLinear constructs a Linear layer with Kaiming-uniform initialization.
@@ -47,7 +48,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Linear expects [N,%d], got %v", l.In, x.Shape()))
 	}
 	l.lastInput = x
-	y := tensor.MatMulTransB(x, l.Weight.Value) // [N, Out]
+	y := l.pack.MatMulTransB(x, l.Weight.Value) // [N, Out]
 	addRows(y.Data(), l.Bias.Value.Data())
 	return y
 }

@@ -132,6 +132,30 @@ func TestCNNTrainStepAllocs(t *testing.T) {
 	}
 }
 
+// outputSink keeps TestLinearStepAllocs's reference tensors on the heap.
+var outputSink *tensor.Tensor
+
+// TestLinearStepAllocs: a warm Linear keeps its packing panel, so a
+// Forward+Backward allocates its output and input gradient and nothing
+// else.
+func TestLinearStepAllocs(t *testing.T) {
+	r := rng.New(6)
+	l := NewLinear(392, 32, r)
+	x, dy := randT(r, 32, 392), randT(r, 32, 32)
+	step := func() {
+		l.Forward(x)
+		l.Backward(dy)
+	}
+	step()
+	outputs := testing.AllocsPerRun(10, func() {
+		outputSink = tensor.New(32, 32)
+		outputSink = tensor.New(32, 392)
+	})
+	if got := testing.AllocsPerRun(10, step); got != outputs {
+		t.Fatalf("warm Linear step allocates %v objects, its two output tensors %v", got, outputs)
+	}
+}
+
 // BenchmarkTrainStepCNN times one training step (Forward, CrossEntropy,
 // Backward) of the cnn-dp CNN at batch 32 and reports its allocations.
 func BenchmarkTrainStepCNN(b *testing.B) {

@@ -151,13 +151,15 @@ func col2im(dx, cols []float64, g convGeom) {
 
 // ConvWorkspace holds the scratch buffers one convolution layer reuses from
 // step to step: the im2col matrices of the last forward pass, which its
-// backward pass reads, and the backward pass's per-block partials. The zero
-// value is ready to use; buffers grow to the largest batch seen. A
-// workspace serves one layer and must not be used concurrently.
+// backward pass reads, and the backward pass's per-block partials and
+// packing panels. The zero value is ready to use; buffers grow to the
+// largest batch seen. A workspace serves one layer and must not be used
+// concurrently.
 type ConvWorkspace struct {
 	cols   []float64 // [N, rows, plane] im2col matrices of the last Forward
 	dcols  []float64 // per-block [rows, plane] wᵀ·dy scratch
 	dW, dB []float64 // per-block weight and bias gradient partials
+	pack   []float64 // per-block dy·colsᵀ packing panel
 }
 
 // grow returns s resized to n elements, reallocating only when its
@@ -214,8 +216,9 @@ func (ws *ConvWorkspace) Backward(dy, x, weight, dW, dB *Tensor, stride, pad int
 	if dy.Size() != g.n*cout*plane || len(ws.cols) != g.n*rows*plane {
 		panic(fmt.Sprintf("tensor: Conv2D backward of dy %v does not match the last forward pass", dy.shape))
 	}
-	wsz := cout * rows
+	wsz, pl := cout*rows, packLen(plane)
 	blocks := (g.n + convBlock - 1) / convBlock
+	ws.pack = grow(ws.pack, blocks*pl)
 	ws.dW = grow(ws.dW, blocks*wsz)
 	clear(ws.dW)
 	if dB != nil {
@@ -229,10 +232,11 @@ func (ws *ConvWorkspace) Backward(dy, x, weight, dW, dB *Tensor, stride, pad int
 	}
 	parallelFor(blocks, func(b int) {
 		pw := ws.dW[b*wsz : (b+1)*wsz]
+		pk := ws.pack[b*pl : (b+1)*pl]
 		for i := b * convBlock; i < min(g.n, (b+1)*convBlock); i++ {
 			dyi := dy.data[i*cout*plane : (i+1)*cout*plane]
 			col := ws.cols[i*rows*plane : (i+1)*rows*plane]
-			gemmNT(pw, dyi, col, cout, plane, rows, true)
+			gemmNTPacked(pw, dyi, col, cout, plane, rows, true, pk)
 			if dB != nil {
 				pb := ws.dB[b*cout : (b+1)*cout]
 				for co := range pb {

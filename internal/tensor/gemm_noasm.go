@@ -1,0 +1,16 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// haveSIMD is false where there are no assembly kernels: on other
+// architectures, and under the purego build constraint, which builds the
+// Go kernels only.
+const haveSIMD = false
+
+func kern4x8(k int, a *float64, ai, ap int, b *float64, bp int, c *float64, cs int, acc bool) {
+	panic("tensor: no SIMD kernels in this build")
+}
+
+func kern4x4(k int, a *float64, ai, ap int, b *float64, bp int, c *float64, cs int, acc bool) {
+	panic("tensor: no SIMD kernels in this build")
+}
