@@ -23,11 +23,11 @@ import (
 // bits instead of starting the subprocesses.
 const runBitsChild = "runbits-child"
 
-// runBits runs a 2-client, 2-round FedAvg of the cnn-dp CNN (the paper's
-// CNN at Conv1=4, Conv2=8, Hidden=32, with the clip:1,laplace:5 uplink) over
-// tr, and returns one line: the TestLoss bits of every round and a SHA-256
-// of the final global weights.
-func runBits(t *testing.T, tr Transport) string {
+// runBits runs a 2-client, 2-round federation of the cnn-dp CNN (the
+// paper's CNN at Conv1=4, Conv2=8, Hidden=32, with the clip:1,laplace:5
+// uplink) under algo over tr, and returns one line: the TestLoss bits of
+// every round and a SHA-256 of the final global weights.
+func runBits(t *testing.T, algo string, tr Transport) string {
 	train, test := dataset.MNIST(dataset.SynthConfig{Train: 2 * 64, Test: 64, Seed: 3})
 	fed := &dataset.Federated{Clients: dataset.PartitionIID(train, 2, rng.New(3)), Test: test}
 	shape := nn.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Kernel: 5, Hidden: 32}
@@ -40,7 +40,7 @@ func runBits(t *testing.T, tr Transport) string {
 		mu.Unlock()
 		return m
 	}
-	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Pipeline: "clip:1,laplace:5", Seed: 3}
+	cfg := Config{Algorithm: algo, Rounds: 2, LocalSteps: 1, BatchSize: 32, Pipeline: "clip:1,laplace:5", Seed: 3}
 	dim := len(nn.FlattenParams(nn.NewCNN(shape, rng.New(3)), nil))
 	st, cts, err := newServerTransport(tr, 2, dim, cfg.Rounds)
 	if err != nil {
@@ -75,16 +75,20 @@ func runBits(t *testing.T, tr Transport) string {
 }
 
 // TestRunBitsIndependentOfGOMAXPROCS re-executes the test binary at
-// GOMAXPROCS 1, 2 and 4; each run trains the same cnn-dp federation over
-// mpi and rpc. The per-round test losses and the final weights must be
-// the same bits in every process: no kernel, reduction or scheduling
-// decision may depend on the core count.
+// GOMAXPROCS 1, 2 and 4; each run trains the same cnn-dp federation under
+// FedAvg and under IIADMM (the paper's Algorithm 1), each over mpi and
+// rpc. The per-round test losses and the final weights must be the same
+// bits in every process and over both transports: no kernel, reduction or
+// scheduling decision may depend on the core count.
 func TestRunBitsIndependentOfGOMAXPROCS(t *testing.T) {
+	algos := []string{AlgoFedAvg, AlgoIIADMM}
 	transports := []Transport{TransportMPI, TransportRPC}
 	if flag.Arg(0) == runBitsChild {
 		fmt.Printf("gomaxprocs %d\n", runtime.GOMAXPROCS(0))
-		for _, tr := range transports {
-			fmt.Printf("%s %s\n", tr, runBits(t, tr))
+		for _, algo := range algos {
+			for _, tr := range transports {
+				fmt.Printf("%s %s %s\n", algo, tr, runBits(t, algo, tr))
+			}
 		}
 		return
 	}
@@ -102,17 +106,21 @@ func TestRunBitsIndependentOfGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v\n%s%s", procs, err, out, stderr.String())
 		}
+		n := len(algos) * len(transports)
 		lines := strings.Split(string(out), "\n")
-		if len(lines) < 3 || lines[0] != fmt.Sprintf("gomaxprocs %d", procs) {
+		if len(lines) < 1+n || lines[0] != fmt.Sprintf("gomaxprocs %d", procs) {
 			t.Fatalf("GOMAXPROCS %d: unexpected child output\n%s", procs, out)
 		}
-		got := strings.Join(lines[1:3], "\n")
+		got := strings.Join(lines[1:1+n], "\n")
 		t.Logf("GOMAXPROCS %d:\n%s", procs, got)
-		if !strings.HasPrefix(lines[1], "mpi ") || !strings.HasPrefix(lines[2], "rpc ") {
-			t.Fatalf("GOMAXPROCS %d: unexpected child output\n%s", procs, out)
-		}
-		if mpi, rpc := strings.TrimPrefix(lines[1], "mpi "), strings.TrimPrefix(lines[2], "rpc "); mpi != rpc {
-			t.Fatalf("GOMAXPROCS %d: mpi and rpc runs differ:\n%s", procs, got)
+		for a, algo := range algos {
+			mpi, rpc := lines[1+2*a], lines[2+2*a]
+			if !strings.HasPrefix(mpi, algo+" mpi ") || !strings.HasPrefix(rpc, algo+" rpc ") {
+				t.Fatalf("GOMAXPROCS %d: unexpected child output\n%s", procs, out)
+			}
+			if strings.TrimPrefix(mpi, algo+" mpi ") != strings.TrimPrefix(rpc, algo+" rpc ") {
+				t.Fatalf("GOMAXPROCS %d: %s over mpi and rpc differs:\n%s", procs, algo, got)
+			}
 		}
 		if want == "" {
 			want = got

@@ -97,8 +97,9 @@ func CloneInto(dst, src Module) {
 	SetParams(dst, FlattenParams(src, nil))
 }
 
-// Predict runs a forward pass without caching gradients being used and
-// returns logits. Provided for readability at call sites.
+// Predict returns m's logits for x. It is exactly m.Forward(x), named for
+// call sites that only evaluate: the layers still record what a Backward
+// would need, and the logits are m's own, valid until its next Forward.
 func Predict(m Module, x *tensor.Tensor) *tensor.Tensor {
 	return m.Forward(x)
 }

@@ -3,10 +3,12 @@
 // container, with manually derived backward passes and a softmax
 // cross-entropy loss. It stands in for PyTorch's torch.nn.
 //
-// Layers are stateful: Forward caches whatever Backward needs, so a module
-// must not be shared across concurrent training loops. Every federated
-// client therefore owns its own model replica (see nn.Clone), exactly as
-// each APPFL client process owns its own torch module.
+// Layers are stateful: Forward caches whatever Backward needs, and Conv2D,
+// ReLU, MaxPool2D and Linear keep their outputs and input gradients in
+// buffers of their own that every step reuses. A module must therefore not
+// be shared across concurrent training loops. Every federated client owns
+// its own model replica (see CloneInto), exactly as each APPFL client
+// process owns its own torch module.
 package nn
 
 import (
@@ -32,6 +34,12 @@ type Parameter struct {
 // by NewCNN, NewMLP and NewLinearModel skips computing it, so their Backward
 // returns nil; a Sequential assembled from NewConv2D or NewLinear layers by
 // hand returns it.
+//
+// A tensor that Forward returns is valid until that module's next Forward,
+// and one that Backward returns until its next Backward: a layer may write
+// its next result into the same storage. A caller that keeps a result
+// across calls copies it (Tensor.Clone). Callers must not write to a result; a
+// layer's Backward may read the output its Forward returned.
 type Module interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -37,11 +38,11 @@ func hashBits(h interface{ Write([]byte) (int, error) }, v []float64) {
 	}
 }
 
-// cnnGoldenRun trains the cnn-dp CNN for three SGD steps at batch 32 and
-// returns SHA-256 digests of every step's flat gradient and of the trained
-// model's logits on 64 held-out images.
-func cnnGoldenRun() (grads, eval string) {
-	r := rng.New(13)
+// cnnGoldenRun trains the cnn-dp CNN from seed for three SGD steps at
+// batch 32 and returns SHA-256 digests of every step's flat gradient and of
+// the trained model's logits on 64 held-out images.
+func cnnGoldenRun(seed uint64) (grads, eval string) {
+	r := rng.New(seed)
 	m := NewCNN(cnnDPShape, r)
 	gh := sha256.New()
 	var g []float64
@@ -81,7 +82,7 @@ func TestCNNTrainStepGoldenBits(t *testing.T) {
 	)
 	for _, procs := range []int{1, 2, 3, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		grads, eval := cnnGoldenRun()
+		grads, eval := cnnGoldenRun(13)
 		runtime.GOMAXPROCS(old)
 		if grads != wantGrads {
 			t.Errorf("GOMAXPROCS %d: gradient digest %s, recorded %s", procs, grads, wantGrads)
@@ -93,9 +94,9 @@ func TestCNNTrainStepGoldenBits(t *testing.T) {
 }
 
 // TestConv2DStepAllocsIndependentOfBatch: a warm Conv2D layer reuses its
-// im2col matrices and gradient partials, so a Forward+Backward allocates
-// the same number of objects at batch 8 as at batch 32 — only the output
-// and input-gradient tensors, nothing per sample. AllocsPerRun runs at
+// padded images, gradient partials, output and input gradient, so a
+// Forward+Backward allocates the same number of objects at batch 8 as at
+// batch 32: nothing per sample. AllocsPerRun runs at
 // GOMAXPROCS 1, so the count does not include goroutine fan-out, which
 // differs between one sample block and two.
 func TestConv2DStepAllocsIndependentOfBatch(t *testing.T) {
@@ -113,7 +114,7 @@ func TestConv2DStepAllocsIndependentOfBatch(t *testing.T) {
 }
 
 // TestCNNTrainStepAllocs pins the allocation count of a warm cnn-dp
-// training step at batch 32: 77 objects when pinned, where one buffer per
+// training step at batch 32: 20 objects when pinned, where one buffer per
 // sample and layer would add over a hundred.
 func TestCNNTrainStepAllocs(t *testing.T) {
 	const bound = 90
@@ -132,12 +133,8 @@ func TestCNNTrainStepAllocs(t *testing.T) {
 	}
 }
 
-// outputSink keeps TestLinearStepAllocs's reference tensors on the heap.
-var outputSink *tensor.Tensor
-
-// TestLinearStepAllocs: a warm Linear keeps its packing panel, so a
-// Forward+Backward allocates its output and input gradient and nothing
-// else.
+// TestLinearStepAllocs: a warm Linear keeps its packing panel, its output
+// and its input gradient, so a Forward+Backward allocates nothing.
 func TestLinearStepAllocs(t *testing.T) {
 	r := rng.New(6)
 	l := NewLinear(392, 32, r)
@@ -147,12 +144,63 @@ func TestLinearStepAllocs(t *testing.T) {
 		l.Backward(dy)
 	}
 	step()
-	outputs := testing.AllocsPerRun(10, func() {
-		outputSink = tensor.New(32, 32)
-		outputSink = tensor.New(32, 392)
-	})
-	if got := testing.AllocsPerRun(10, step); got != outputs {
-		t.Fatalf("warm Linear step allocates %v objects, its two output tensors %v", got, outputs)
+	if got := testing.AllocsPerRun(10, step); got != 0 {
+		t.Fatalf("warm Linear step allocates %v objects", got)
+	}
+}
+
+// TestConcurrentReplicasMatchSerial: federated clients train their own
+// replicas concurrently in one process, so no layer buffer, workspace or
+// per-worker scratch may be shared between replicas. Two cnn-dp replicas
+// trained at once, in two goroutines, must end on the bits of their serial
+// runs; under -race the detector also sees any shared write.
+func TestConcurrentReplicasMatchSerial(t *testing.T) {
+	seeds := []uint64{13, 14}
+	want := make([][2]string, len(seeds))
+	for i, seed := range seeds {
+		want[i][0], want[i][1] = cnnGoldenRun(seed)
+	}
+	got := make([][2]string, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i][0], got[i][1] = cnnGoldenRun(seed)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if got[i] != want[i] {
+			t.Errorf("replica %d: concurrent run ends on digests %v, serial run %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCNNTrainStepBytes: the layers of the cnn-dp CNN keep their outputs,
+// input gradients and scratch from step to step, so a warm batch-32
+// training step allocates under 1 MiB; a fresh tensor per activation and
+// an im2col matrix per sample would take over 5 MB. GOMAXPROCS 1 keeps
+// goroutine fan-out out of the count.
+func TestCNNTrainStepBytes(t *testing.T) {
+	const bound = 1 << 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := rng.New(4)
+	m := NewCNN(cnnDPShape, r)
+	x := sparseImages(r, 32)
+	labels := make([]int, 32)
+	step := func() {
+		ZeroGrad(m)
+		_, d := CrossEntropy(m.Forward(x), labels)
+		m.Backward(d)
+	}
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Fatalf("warm cnn-dp training step allocates %d bytes, bound %d", got, bound)
 	}
 }
 

@@ -18,6 +18,26 @@ func kern4x8(k int, a *float64, ai, ap int, b *float64, bp int, c *float64, cs i
 //go:noescape
 func kern4x4(k int, a *float64, ai, ap int, b *float64, bp int, c *float64, cs int, acc bool)
 
+// kern4x8off is kern4x8 for the implicit-GEMM convolution: A's rows are
+// lda apart and contiguous, B's row p starts at b[off[p]], and the sums
+// are stored to C's rows (row stride ldc).
+//
+//go:noescape
+func kern4x8off(k int, a *float64, lda int, b *float64, off *int, c *float64, ldc int)
+
+// kern4x8rows and kern4x4rows compute one 4-row × 8-column (4-column)
+// tile of the convolution's weight gradient B·dyᵀ with B's four rows read
+// straight from the padded image: row r's element j = oy·ow + ox is
+// a[dr + oy·lda + ox] for d0 = 0, and j runs over the oh×ow valid outputs
+// only. B's row j starts at b[j*bp]. The sums are stored to C's rows (row
+// stride cs).
+//
+//go:noescape
+func kern4x8rows(oh, ow int, a *float64, d1, d2, d3, lda int, b *float64, bp int, c *float64, cs int)
+
+//go:noescape
+func kern4x4rows(oh, ow int, a *float64, d1, d2, d3, lda int, b *float64, bp int, c *float64, cs int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax uint32)

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -131,34 +130,5 @@ func TestMatMulWrappersBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestConv2DBackwardIndependentOfGOMAXPROCS: the weight- and bias-gradient
-// partials are reduced over fixed 16-sample blocks in block order,
-// so dW, dB and dx are the same bits whatever the number of workers. The
-// batch of 37 leaves a short last block.
-func TestConv2DBackwardIndependentOfGOMAXPROCS(t *testing.T) {
-	r := rng.New(23)
-	x := FromSlice(sparseVec(r, 37*4*14*14), 37, 4, 14, 14)
-	w := randTensor(r, 8, 4, 5, 5)
-	b := randTensor(r, 8)
-	dy := FromSlice(sparseVec(r, 37*8*14*14), 37, 8, 14, 14)
-	run := func(procs int) []*Tensor {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		_, cols := Conv2DForward(x, w, b, 1, 2)
-		dx, dw, db := Conv2DBackward(dy, x, w, cols, true, 1, 2)
-		return []*Tensor{dx, dw, db}
-	}
-	want := run(1)
-	for _, procs := range []int{2, 3, 4} {
-		got := run(procs)
-		for g, name := range []string{"dx", "dW", "dB"} {
-			for i, v := range got[g].data {
-				if math.Float64bits(v) != math.Float64bits(want[g].data[i]) {
-					t.Fatalf("GOMAXPROCS %d: %s[%d] = %v, at GOMAXPROCS 1 %v", procs, name, i, v, want[g].data[i])
-				}
-			}
-		}
 	}
 }

@@ -53,7 +53,10 @@ const parallelThreshold = 64 * 1024
 // runtime.GOMAXPROCS workers; each row is computed whole by one worker, so
 // the split does not change the result. Each worker's rows are a multiple
 // of four, so only the last one has rows the 4-row tiles leave over.
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
+
+// MatMulInto is MatMul writing into Reuse(dst, m, n), which it returns.
+func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v x %v", a.shape, b.shape))
 	}
@@ -62,7 +65,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := Reuse(dst, m, n)
 	workers := runtime.GOMAXPROCS(0)
 	if m*n*k < parallelThreshold || workers < 2 || m < 2 {
 		gemmNN(out.data, a.data, b.data, 0, m, k, n)
@@ -132,11 +135,11 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 type Pack struct{ panel []float64 }
 
 // MatMulTransB returns A·Bᵀ like the package-level MatMulTransB, packing
-// into p's panel.
-func (p *Pack) MatMulTransB(a, b *Tensor) *Tensor {
+// into p's panel and writing into Reuse(dst, m, n).
+func (p *Pack) MatMulTransB(dst, a, b *Tensor) *Tensor {
 	m, k, n := transBDims(a, b)
 	p.panel = grow(p.panel, packLen(k))
-	out := New(m, n)
+	out := Reuse(dst, m, n)
 	gemmNTPacked(out.data, a.data, b.data, m, k, n, false, p.panel)
 	return out
 }
@@ -189,10 +192,14 @@ func gemmNN(c, a, b []float64, lo, hi, k, n int) {
 
 // gemmTN sets C [m,n] to Aᵀ·B for A [k,m], B [k,n], or adds it to C when
 // acc is true.
-func gemmTN(c, a, b []float64, m, k, n int, acc bool) {
+func gemmTN(c, a, b []float64, m, k, n int, acc bool) { gemmTNBand(c, a, b, m, m, k, n, acc) }
+
+// gemmTNBand is gemmTN for the first m columns of an A whose rows are lda
+// apart: C [m,n] = A[:, :m]ᵀ·B.
+func gemmTNBand(c, a, b []float64, m, lda, k, n int, acc bool) {
 	if useSIMD {
-		tiled := simdRows(c, a, b, 0, m, k, n, 1, m, acc)
-		edges(c, a, b, 0, tiled, m, n, k, layout{1, m, 1, n}, acc)
+		tiled := simdRows(c, a, b, 0, m, k, n, 1, lda, acc)
+		edges(c, a, b, 0, tiled, m, n, k, layout{1, lda, 1, n}, acc)
 		return
 	}
 	i := 0
@@ -200,7 +207,7 @@ func gemmTN(c, a, b []float64, m, k, n int, acc bool) {
 		for j := 0; j+3 < n; j += 4 {
 			var s00, s01, s02, s03, s10, s11, s12, s13 float64
 			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+2 : p*m+i+2]
+				ap := a[p*lda+i : p*lda+i+2 : p*lda+i+2]
 				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
 				x0, x1 := ap[0], ap[1]
 				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
@@ -217,7 +224,68 @@ func gemmTN(c, a, b []float64, m, k, n int, acc bool) {
 			store4(c[i*n+n+j:], s10, s11, s12, s13, acc)
 		}
 	}
-	edges(c, a, b, 0, i, m, n, k, layout{1, m, 1, n}, acc)
+	edges(c, a, b, 0, i, m, n, k, layout{1, lda, 1, n}, acc)
+}
+
+// gemmOff sets C [m,n] to A·B for A [m,k] and the B whose row p starts at
+// b[off[p]]: B's element (p,j) is b[off[p]+j]. This is the implicit-GEMM
+// form of the convolution, with B read straight from the padded image. n
+// must be a multiple of 8: the caller rounds its wide columns up to whole
+// tiles and drops the extra ones. The SIMD path computes 4×8 tiles with
+// kern4x8off, the Go path 2×4 tiles, and rows the tiles leave over are
+// summed one element at a time; every output is one p-ascending sum from
+// +0 of A's element times B's, then stored.
+func gemmOff(c, a, b []float64, off []int, m, k, n int) {
+	if n%8 != 0 || len(off) != k {
+		panic(fmt.Sprintf("tensor: gemmOff n=%d off %d for k=%d", n, len(off), k))
+	}
+	for _, o := range off { // the kernels do not check bounds
+		if o < 0 || o+n > len(b) {
+			panic(fmt.Sprintf("tensor: gemmOff row offset %d + %d outside B of %d", o, n, len(b)))
+		}
+	}
+	i := 0
+	if useSIMD && k > 0 && m >= 4 {
+		_, _ = a[m*k-1], c[m*n-1]
+		for ; i+4 <= m; i += 4 {
+			for j := 0; j < n; j += 8 {
+				kern4x8off(k, &a[i*k], k, &b[j], &off[0], &c[i*n+j], n)
+			}
+		}
+	}
+	for ; i+1 < m; i += 2 {
+		a0 := a[i*k : i*k+k]
+		a1 := a[i*k+k : i*k+2*k]
+		a1, off := a1[:len(a0)], off[:len(a0)]
+		for j := 0; j < n; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				o := off[p] + j
+				bp := b[o : o+4 : o+4]
+				s00 += x0 * bp[0]
+				s10 += x1 * bp[0]
+				s01 += x0 * bp[1]
+				s11 += x1 * bp[1]
+				s02 += x0 * bp[2]
+				s12 += x1 * bp[2]
+				s03 += x0 * bp[3]
+				s13 += x1 * bp[3]
+			}
+			store4(c[i*n+j:], s00, s01, s02, s03, false)
+			store4(c[i*n+n+j:], s10, s11, s12, s13, false)
+		}
+	}
+	for ; i < m; i++ {
+		ai := a[i*k : i*k+k]
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p, v := range ai {
+				s += v * b[off[p]+j]
+			}
+			c[i*n+j] = s
+		}
+	}
 }
 
 // gemmNT sets C [m,n] to A·Bᵀ for A [m,k], B [n,k], or adds it to C when

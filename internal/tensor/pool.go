@@ -57,70 +57,85 @@ func PutBytes(s []byte) {
 	bytePool.Put(&s)
 }
 
-// MaxPool2DForward applies max pooling with a square kernel and stride to a
-// batch x [N, C, H, W]. It returns the pooled output [N, C, OH, OW] and the
-// flat argmax index (into each sample's data) for every output element, which
-// the backward pass uses to route gradients.
-func MaxPool2DForward(x *Tensor, kernel, stride int) (y *Tensor, argmax []int) {
+// PoolWorkspace is the state of one max-pooling layer, reused from step to
+// step: its output, the argmax of every output and its input gradient.
+// The zero value is ready to use. A tensor that Forward or Backward returns
+// is the workspace's own and is valid until the next call of the same
+// method; the workspace must not be used concurrently.
+type PoolWorkspace struct {
+	y, dx   *Tensor
+	argmax  []int
+	inShape [4]int
+}
+
+// Forward applies max pooling with a square kernel and stride to a batch
+// x [N, C, H, W] and returns the pooled output [N, C, OH, OW]. It records
+// the flat index (into each sample's data) of every output's maximum, the
+// first one in window order on ties, which Backward routes the gradient to.
+func (ws *PoolWorkspace) Forward(x *Tensor, kernel, stride int) *Tensor {
 	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: MaxPool2DForward requires [N,C,H,W], got %v", x.shape))
+		panic(fmt.Sprintf("tensor: max pooling requires [N,C,H,W], got %v", x.shape))
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh := ConvOut(h, kernel, stride, 0)
 	ow := ConvOut(w, kernel, stride, 0)
 	if oh <= 0 || ow <= 0 {
-		panic("tensor: MaxPool2DForward output is empty")
+		panic("tensor: max pooling output is empty")
 	}
-	y = New(n, c, oh, ow)
-	argmax = make([]int, n*c*oh*ow)
+	ws.inShape = [4]int{n, c, h, w}
+	ws.y = Reuse(ws.y, n, c, oh, ow)
+	if cap(ws.argmax) < n*c*oh*ow {
+		ws.argmax = make([]int, n*c*oh*ow)
+	}
+	y, argmax := ws.y, ws.argmax[:n*c*oh*ow]
+	ws.argmax = argmax
 	sampleLen := c * h * w
-	parallelFor(n, func(i int) {
+	parallelFor(parallelWorkers(n), n, func(_, i int) {
 		src := x.data[i*sampleLen : (i+1)*sampleLen]
-		outBase := i * c * oh * ow
 		for ci := 0; ci < c; ci++ {
-			chanBase := ci * h * w
 			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy0, ix0 := oy*stride, ox*stride
-					bestIdx := chanBase + iy0*w + ix0
-					best := src[bestIdx]
+				o := ((i*c+ci)*oh + oy) * ow
+				yo, ao := y.data[o:o+ow], argmax[o:o+ow]
+				row := ci*h*w + oy*stride*w
+				for ox := range yo {
+					bi := row + ox*stride
+					best := src[bi]
 					for ky := 0; ky < kernel; ky++ {
-						rowBase := chanBase + (iy0+ky)*w
-						for kx := 0; kx < kernel; kx++ {
-							idx := rowBase + ix0 + kx
-							if src[idx] > best {
-								best, bestIdx = src[idx], idx
+						base := row + ky*w + ox*stride
+						for kx, v := range src[base : base+kernel] {
+							if v > best {
+								best, bi = v, base+kx
 							}
 						}
 					}
-					o := outBase + (ci*oh+oy)*ow + ox
-					y.data[o] = best
-					argmax[o] = bestIdx
+					yo[ox], ao[ox] = best, bi
 				}
 			}
 		}
 	})
-	return y, argmax
+	return y
 }
 
-// MaxPool2DBackward routes the upstream gradient dy [N, C, OH, OW] back to
-// the positions recorded in argmax, producing dx with the input shape.
-func MaxPool2DBackward(dy *Tensor, argmax []int, inShape []int) *Tensor {
-	if len(inShape) != 4 {
-		panic("tensor: MaxPool2DBackward requires a rank-4 input shape")
+// Backward routes the upstream gradient dy [N, C, OH, OW] of the last
+// Forward to the recorded maxima and returns dx with the input's shape.
+func (ws *PoolWorkspace) Backward(dy *Tensor) *Tensor {
+	if len(ws.argmax) != dy.Size() {
+		panic(fmt.Sprintf("tensor: max-pooling backward of dy %v does not match the last forward pass", dy.shape))
 	}
-	if len(argmax) != dy.Size() {
-		panic(fmt.Sprintf("tensor: MaxPool2DBackward argmax length %d does not match dy size %d", len(argmax), dy.Size()))
+	ws.dx = Reuse(ws.dx, ws.inShape[:]...)
+	dx := ws.dx
+	clear(dx.data)
+	n := ws.inShape[0]
+	if n == 0 {
+		return dx
 	}
-	dx := New(inShape...)
-	n := inShape[0]
-	sampleLen := inShape[1] * inShape[2] * inShape[3]
+	sampleLen := dx.Size() / n
 	outSample := dy.Size() / n
 	for i := 0; i < n; i++ {
 		dst := dx.data[i*sampleLen : (i+1)*sampleLen]
 		for j := 0; j < outSample; j++ {
 			o := i*outSample + j
-			dst[argmax[o]] += dy.data[o]
+			dst[ws.argmax[o]] += dy.data[o]
 		}
 	}
 	return dx

@@ -1,11 +1,13 @@
 // Package tensor implements dense, row-major float64 tensors with the
 // operations needed to train convolutional neural networks: elementwise
-// arithmetic, BLAS-style vector ops, parallel matrix multiplication, im2col
-// convolution, and max pooling.
+// arithmetic, BLAS-style vector ops, parallel matrix multiplication,
+// implicit-GEMM convolution, and max pooling.
 //
 // It is the substrate standing in for PyTorch's tensor library in this
 // reproduction of APPFL. Tensors are contiguous; Reshape returns a view that
-// shares storage, everything else either operates in place or allocates.
+// shares storage, Reuse and the layer workspaces (ConvWorkspace,
+// PoolWorkspace, Pack) keep storage from call to call, and everything else
+// either operates in place or allocates.
 package tensor
 
 import (
@@ -25,7 +27,9 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Formatting a copy keeps shape from escaping through
+			// fmt.Sprintf, so callers' shape arguments stay on the stack.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -42,11 +46,36 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (=%d)", len(data), shape, n))
+		// A copy, as in New, so shape does not escape.
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (=%d)", len(data), append([]int(nil), shape...), n))
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: data}
+}
+
+// Reuse returns a tensor of the given shape for a caller that overwrites
+// every element: t itself when it already has that shape, a tensor over
+// t's storage when that is large enough, and a new zero tensor otherwise.
+// A layer keeps its output in one tensor this way from step to step.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	if t != nil && len(t.shape) == len(shape) {
+		same := true
+		for i, d := range shape {
+			same = same && t.shape[i] == d
+		}
+		if same {
+			return t
+		}
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if t == nil || cap(t.data) < n {
+		return New(shape...)
+	}
+	return FromSlice(t.data[:n], shape...)
 }
 
 // Shape returns the dimensions. The returned slice must not be modified.

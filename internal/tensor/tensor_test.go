@@ -350,9 +350,10 @@ func TestConv2DForwardAgainstNaive(t *testing.T) {
 		x := randTensor(r, c.n, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.k, c.k)
 		b := randTensor(r, c.cout)
-		y, cols := Conv2DForward(x, w, b, c.stride, c.pad)
-		if len(cols) != c.n {
-			t.Fatalf("cols count %d != batch %d", len(cols), c.n)
+		var ws ConvWorkspace
+		y := ws.Forward(x, w, b, c.stride, c.pad)
+		if y.Dim(0) != c.n {
+			t.Fatalf("output batch %d != batch %d", y.Dim(0), c.n)
 		}
 		for i := 0; i < c.n; i++ {
 			want := naiveConv2D(x.Slice(i), w, b, c.stride, c.pad)
@@ -363,7 +364,8 @@ func TestConv2DForwardAgainstNaive(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col, i.e. <Im2Col(x), y> == <x, Col2Im(y)>.
+// Property: the reference col2im is the adjoint of im2col, i.e.
+// <im2col(x), y> == <x, col2im(y)>.
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	r := rng.New(10)
 	for trial := 0; trial < 20; trial++ {
@@ -375,10 +377,10 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 			continue
 		}
 		x := randTensor(r, c, h, w)
-		cx := Im2Col(x, k, k, stride, pad)
+		cx := refIm2Col(x, k, k, stride, pad)
 		y := randTensor(r, cx.Dim(0), cx.Dim(1))
 		lhs := cx.Dot(y)
-		rhs := x.Dot(Col2Im(y, c, h, w, k, k, stride, pad))
+		rhs := x.Dot(refCol2Im(y, c, h, w, k, k, stride, pad))
 		if !almostEqual(lhs, rhs, 1e-8*(1+math.Abs(lhs))) {
 			t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
 		}
@@ -397,11 +399,13 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	// Scalar loss = sum of conv output weighted by fixed random coefficients.
 	coef := randTensor(r, n, cout, ConvOut(h, k, stride, pad), ConvOut(wd, k, stride, pad))
 	loss := func() float64 {
-		y, _ := Conv2DForward(x, w, b, stride, pad)
-		return y.Dot(coef)
+		var ws ConvWorkspace
+		return ws.Forward(x, w, b, stride, pad).Dot(coef)
 	}
-	_, cols := Conv2DForward(x, w, b, stride, pad)
-	dx, dw, db := Conv2DBackward(coef, x, w, cols, true, stride, pad)
+	var ws ConvWorkspace
+	ws.Forward(x, w, b, stride, pad)
+	dw, db := New(w.Shape()...), New(cout)
+	dx := ws.Backward(coef, x, w, dw, db, stride, pad, true)
 
 	const eps = 1e-6
 	checkGrad := func(name string, param *Tensor, grad *Tensor, samples int) {
@@ -431,7 +435,9 @@ func TestMaxPoolForward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	y, argmax := MaxPool2DForward(x, 2, 2)
+	var ws PoolWorkspace
+	y := ws.Forward(x, 2, 2)
+	argmax := ws.argmax
 	want := []float64{6, 8, 14, 16}
 	for i, v := range want {
 		if y.Data()[i] != v {
@@ -446,6 +452,38 @@ func TestMaxPoolForward(t *testing.T) {
 	}
 }
 
+// TestMaxPoolMatchesNaive: for six window shapes run through one reused
+// workspace, the pooled values and argmax equal a plain scan that keeps
+// the first strict maximum in window order, ties and NaN included.
+func TestMaxPoolMatchesNaive(t *testing.T) {
+	r := rng.New(13)
+	x := FromSlice(convVec(r, 3*2*9*8, true), 3, 2, 9, 8)
+	for i := range x.data[:40] {
+		x.data[i] = float64(i % 3) // ties
+	}
+	var ws PoolWorkspace
+	for _, ks := range [][2]int{{2, 2}, {3, 1}, {3, 2}, {2, 1}, {1, 1}, {4, 3}} {
+		kernel, stride := ks[0], ks[1]
+		y := ws.Forward(x, kernel, stride)
+		oh, ow := y.Dim(2), y.Dim(3)
+		for o := range y.data {
+			n, c, oy, ox := o/(2*oh*ow), o/(oh*ow)%2, o/ow%oh, o%ow
+			src := x.data[n*2*9*8 : (n+1)*2*9*8]
+			bi := c*9*8 + oy*stride*8 + ox*stride
+			for ky := 0; ky < kernel; ky++ {
+				for kx := 0; kx < kernel; kx++ {
+					if i := c*9*8 + (oy*stride+ky)*8 + ox*stride + kx; src[i] > src[bi] {
+						bi = i
+					}
+				}
+			}
+			if ws.argmax[o] != bi || math.Float64bits(y.data[o]) != math.Float64bits(src[bi]) {
+				t.Fatalf("kernel %d stride %d: output %d is %v at %d, naive %v at %d", kernel, stride, o, y.data[o], ws.argmax[o], src[bi], bi)
+			}
+		}
+	}
+}
+
 func TestMaxPoolBackwardRoutesGradient(t *testing.T) {
 	x := FromSlice([]float64{
 		1, 2, 3, 4,
@@ -453,9 +491,10 @@ func TestMaxPoolBackwardRoutesGradient(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	_, argmax := MaxPool2DForward(x, 2, 2)
+	var ws PoolWorkspace
+	ws.Forward(x, 2, 2)
 	dy := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	dx := MaxPool2DBackward(dy, argmax, []int{1, 1, 4, 4})
+	dx := ws.Backward(dy)
 	if dx.At(0, 0, 1, 1) != 1 || dx.At(0, 0, 1, 3) != 2 || dx.At(0, 0, 3, 1) != 3 || dx.At(0, 0, 3, 3) != 4 {
 		t.Fatalf("gradient routing wrong: %v", dx.Data())
 	}
@@ -469,11 +508,12 @@ func TestMaxPoolNumericalGradient(t *testing.T) {
 	x := randTensor(r, 2, 2, 6, 6)
 	coef := randTensor(r, 2, 2, 3, 3)
 	loss := func() float64 {
-		y, _ := MaxPool2DForward(x, 2, 2)
-		return y.Dot(coef)
+		var ws PoolWorkspace
+		return ws.Forward(x, 2, 2).Dot(coef)
 	}
-	_, argmax := MaxPool2DForward(x, 2, 2)
-	dx := MaxPool2DBackward(coef, argmax, x.Shape())
+	var ws PoolWorkspace
+	ws.Forward(x, 2, 2)
+	dx := ws.Backward(coef)
 	const eps = 1e-6
 	for s := 0; s < 30; s++ {
 		i := r.Intn(x.Size())
@@ -505,17 +545,9 @@ func BenchmarkConv2DForward(b *testing.B) {
 	x := randTensor(r, 8, 1, 28, 28)
 	w := randTensor(r, 16, 1, 5, 5)
 	bias := randTensor(r, 16)
+	var ws ConvWorkspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DForward(x, w, bias, 1, 0)
-	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	r := rng.New(1)
-	x := randTensor(r, 3, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(x, 5, 5, 1, 2)
+		ws.Forward(x, w, bias, 1, 0)
 	}
 }
